@@ -1,9 +1,9 @@
 //! E13 bench — the interchange data plane at 100k–1M rows: zero-copy `Arc`
-//! handover vs the columnar binary codec vs the legacy row-major codec,
-//! plus the engine-egress snapshot path.
+//! handover vs the columnar binary codec vs the CSV file path (the serial
+//! row-at-a-time baseline), plus the engine-egress snapshot path.
 
 use bigdawg_bench::experiments::interchange::mixed_batch;
-use bigdawg_core::cast::{decode_binary, encode_binary, ship, Transport};
+use bigdawg_core::cast::{ship, Transport};
 use bigdawg_core::shims::RelationalShim;
 use bigdawg_core::Shim;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -22,16 +22,9 @@ fn bench_ship(c: &mut Criterion) {
             &batch,
             |b, batch| b.iter(|| ship(batch, Transport::Binary).unwrap()),
         );
-        g.bench_with_input(
-            BenchmarkId::new("binary_row_codec", rows),
-            &batch,
-            |b, batch| {
-                b.iter(|| {
-                    let parts = encode_binary(batch);
-                    decode_binary(&parts, batch.schema()).unwrap()
-                })
-            },
-        );
+        g.bench_with_input(BenchmarkId::new("file_csv", rows), &batch, |b, batch| {
+            b.iter(|| ship(batch, Transport::File).unwrap())
+        });
     }
     g.finish();
 }

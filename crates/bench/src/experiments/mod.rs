@@ -15,7 +15,7 @@
 //! | [`coupling`] | E10 | §2.4: tight vs loose linear-algebra coupling |
 //! | [`federation`] | E11 | §2.2: parallel scatter-gather vs serial executor |
 //! | [`migration_convergence`] | E12 | §2.1: auto-migration converges a hot workload to near in-process latency |
-//! | [`interchange`] | E13 | §2.1: zero-copy columnar interchange vs row codec vs file |
+//! | [`interchange`] | E13 | §2.1: zero-copy columnar interchange vs the file (CSV) baseline |
 //! | [`availability`] | E14 | §2.1: availability under a 10% read-fault storm — failover vs fail-fast |
 //! | [`tracing_overhead`] | E15 | observability: span pipeline cost on the E11 federation query |
 //! | [`result_cache`] | E16 | epoch-validated result cache on a zipfian repeated-query workload |

@@ -22,10 +22,6 @@
 //!   `wire_bytes` is honestly reported as 0 — nothing crossed any wire.
 //!   Copy-on-write at the batch layer guarantees the receiver's snapshot
 //!   is immune to later writes on the source.
-//!
-//! The legacy row-major codec ([`encode_binary`]/[`decode_binary`], shared
-//! with the stream engine's command log) is kept as the E13 comparison
-//! baseline.
 
 use bigdawg_common::{
     Batch, BigDawgError, Column, ColumnData, DataType, NullMask, Result, Row, Schema, Tracer, Value,
@@ -374,90 +370,6 @@ fn infer_text(text: &str) -> Value {
     }
 }
 
-// ---- legacy row-major binary codec -----------------------------------------
-//
-// The pre-columnar wire format: rows written value-by-value through the
-// stream engine's command-log codec, partitioned by rows only. Kept as the
-// E13 comparison baseline and for the equivalence property tests; the live
-// Binary transport uses the columnar codec below.
-
-/// Number of parallel encode/decode partitions.
-fn partitions() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().min(8))
-        .unwrap_or(4)
-}
-
-/// Encode rows into per-partition binary buffers, in parallel — the
-/// **legacy row-major codec** (see module docs).
-pub fn encode_binary(batch: &Batch) -> Vec<Vec<u8>> {
-    let rows = batch.rows();
-    let n_parts = partitions().max(1);
-    let chunk = rows.len().div_ceil(n_parts).max(1);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = rows
-            .chunks(chunk)
-            .map(|part| {
-                s.spawn(move || {
-                    let mut buf = Vec::with_capacity(part.len() * 16);
-                    buf.extend_from_slice(&(part.len() as u64).to_le_bytes());
-                    for row in part {
-                        for v in row {
-                            write_value(&mut buf, v);
-                        }
-                    }
-                    buf
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("encoder panicked"))
-            .collect()
-    })
-}
-
-/// Decode per-partition buffers back into a batch, in parallel — pairs
-/// with [`encode_binary`] (the legacy row-major codec).
-pub fn decode_binary(parts: &[Vec<u8>], schema: &Schema) -> Result<Batch> {
-    let width = schema.len();
-    let decoded: Vec<Result<Vec<Row>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = parts
-            .iter()
-            .map(|buf| {
-                s.spawn(move || -> Result<Vec<Row>> {
-                    if buf.len() < 8 {
-                        return Err(BigDawgError::Cast("truncated binary partition".into()));
-                    }
-                    let n = u64::from_le_bytes(buf[..8].try_into().expect("8 bytes")) as usize;
-                    let mut pos = 8;
-                    let mut rows = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        let mut row = Vec::with_capacity(width);
-                        for _ in 0..width {
-                            let (v, used) = read_value(&buf[pos..])?;
-                            pos += used;
-                            row.push(v);
-                        }
-                        rows.push(row);
-                    }
-                    Ok(rows)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("decoder panicked"))
-            .collect()
-    });
-    let mut rows = Vec::new();
-    for part in decoded {
-        rows.extend(part?);
-    }
-    // every row was built with exactly `width` values just above
-    Ok(Batch::from_parts_trusted(schema.clone(), rows))
-}
-
 // ---- columnar binary codec ---------------------------------------------------
 //
 // Wire unit: one buffer per (row-chunk × column), laid out as
@@ -469,6 +381,13 @@ pub fn decode_binary(parts: &[Vec<u8>], schema: &Schema) -> Result<Batch> {
 // columns fall back to the per-value command-log codec. Buffers are
 // independent, which is what buys parallel encode/decode across both axes
 // and per-buffer transfer pipelining.
+
+/// Number of parallel encode/decode partitions.
+fn partitions() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get().min(8))
+        .unwrap_or(4)
+}
 
 const TAG_BOOL: u8 = 1;
 const TAG_INT: u8 = 2;
@@ -954,14 +873,6 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_binary_detected() {
-        let b = batch();
-        let mut parts = encode_binary(&b);
-        parts[0].truncate(10);
-        assert!(decode_binary(&parts, b.schema()).is_err());
-    }
-
-    #[test]
     fn corrupt_columnar_detected() {
         let b = batch();
         let mut parts = encode_columnar(&b, 250);
@@ -985,14 +896,6 @@ mod tests {
         text_part[first_len_at..first_len_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         let err = decode_columnar(&parts, b.schema()).unwrap_err();
         assert_eq!(err.kind(), "cast");
-    }
-
-    #[test]
-    fn row_and_columnar_codecs_agree() {
-        let b = batch();
-        let via_rows = decode_binary(&encode_binary(&b), b.schema()).unwrap();
-        let via_columns = decode_columnar(&encode_columnar(&b, 128), b.schema()).unwrap();
-        assert_eq!(via_rows.rows(), via_columns.rows());
     }
 
     #[test]

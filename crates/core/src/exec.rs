@@ -30,14 +30,13 @@
 //! fixed-width scoped-thread pattern of [`crate::cast`]'s partitioned
 //! codec. The gather node then executes the rewritten body on its island.
 //!
-//! Plan choice is monitor-driven: when every engine a leaf touches is
+//! The transport is structural: when every engine a leaf touches is
 //! co-resident with the coordinator the leaf ships zero-copy
-//! ([`Transport::ZeroCopy`] — `Arc` handover, no codec); otherwise the
-//! transport comes from
-//! [`crate::monitor::Monitor::preferred_transport`] (measured file vs
-//! binary history, binary on cold start). Islands pick their engine
-//! through [`crate::polystore::BigDawg::choose_engine_of_kind`] (cheapest
-//! by measured per-class latency when several engines qualify).
+//! ([`Transport::ZeroCopy`] — `Arc` handover, no codec); otherwise it
+//! ships through the columnar codec ([`Transport::Binary`]). Engine choice
+//! is monitor-driven: islands pick their engine through
+//! [`crate::polystore::BigDawg::choose_engine_of_kind`] (cheapest by
+//! measured per-class latency when several engines qualify).
 
 use crate::cast::Transport;
 use crate::monitor::EngineHealth;
@@ -541,7 +540,7 @@ fn run_leaf(bd: &BigDawg, leaf: &Leaf, schedule: Schedule, parent: u64) -> Resul
                     Schedule::Parallel => execute(bd, query)?,
                     Schedule::Serial => scope::execute(bd, query)?,
                 };
-                bd.materialize_attempts(batch, &leaf.target_engine, &leaf.temp, leaf.transport)?
+                bd.materialize(batch, &leaf.target_engine, &leaf.temp, leaf.transport)?
             }
         };
         bd.monitor().lock().record_cast(&report);

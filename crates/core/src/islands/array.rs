@@ -5,6 +5,7 @@
 //! transport) first, and the monitor's cost model arbitrates when several
 //! array engines could evaluate the query.
 
+use crate::cast::Transport;
 use crate::monitor::QueryClass;
 use crate::polystore::BigDawg;
 use crate::shim::EngineKind;
@@ -59,7 +60,6 @@ pub fn execute(bd: &BigDawg, query: &str) -> Result<Batch> {
 fn execute_once(bd: &BigDawg, query: &str, placement_raced: &mut bool) -> Result<Batch> {
     let class = classify(query);
     let engine = bd.choose_engine_of_kind(EngineKind::Array, class)?;
-    let transport = bd.preferred_transport();
     let mut rewritten = query.to_string();
     let mut temps: Vec<String> = Vec::new();
     // true when some object resolved to a co-located copy read in place —
@@ -73,12 +73,14 @@ fn execute_once(bd: &BigDawg, query: &str, placement_raced: &mut bool) -> Result
             continue; // attribute/dimension names are resolved by AFL itself
         };
         // a co-located copy (primary or migrator-placed replica) is read
-        // in place; only genuinely remote objects ship
+        // in place; only genuinely remote objects ship — zero-copy when no
+        // wire is crossed (the cast degrades it to the columnar codec
+        // otherwise)
         if entry.located_on(&engine) {
             read_in_place = true;
         } else {
             let tmp = bd.temp_name();
-            if let Err(e) = bd.cast_object(&ident, &engine, &tmp, transport) {
+            if let Err(e) = bd.cast_object(&ident, &engine, &tmp, Transport::ZeroCopy) {
                 // a failing cast of a *resolved* object is racy; clean
                 // temps cast so far so a retried attempt leaks nothing
                 if matches!(e, BigDawgError::NotFound(_)) {

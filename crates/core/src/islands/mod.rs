@@ -96,20 +96,9 @@ pub fn dispatch(bd: &BigDawg, island: &str, body: &str) -> Result<Batch> {
                     retry::stable_hash(&engine),
                     Some(&bd.retry_observer("island")),
                     |_| {
-                        let _native_span = bd.tracer().span("engine.native", &engine);
-                        let r = bd.engine(&engine)?.lock().execute_native(body);
-                        match &r {
-                            Ok(_) => {
-                                bd.count_engine_op(&engine, "native", false);
-                                bd.breakers().record_success(&engine);
-                            }
-                            Err(e) if retry::is_transient(e) => {
-                                bd.count_engine_op(&engine, "native", true);
-                                bd.breakers().record_failure(&engine);
-                            }
-                            Err(_) => bd.count_engine_op(&engine, "native", false),
-                        }
-                        r
+                        bd.engine_call(&engine, "native", "engine.native", |shim| {
+                            shim.execute_native(body)
+                        })
                     },
                 );
                 bd.refresh_catalog(); // native DDL may have created objects

@@ -15,6 +15,7 @@
 //! ([`BigDawg::note_write`]), so a migrated-then-written object never
 //! serves stale replica data.
 
+use crate::cast::Transport;
 use crate::monitor::QueryClass;
 use crate::polystore::BigDawg;
 use crate::shim::EngineKind;
@@ -52,7 +53,6 @@ fn execute_once(bd: &BigDawg, sql: &str, placement_raced: &mut bool) -> Result<B
         _ => QueryClass::SqlFilter,
     };
     let mut engine = bd.choose_engine_of_kind(EngineKind::Relational, class)?;
-    let transport = bd.preferred_transport();
     let mut temps: Vec<String> = Vec::new();
 
     // Collect referenced tables (SELECT only; DML runs against its table's
@@ -73,7 +73,9 @@ fn execute_once(bd: &BigDawg, sql: &str, placement_raced: &mut bool) -> Result<B
             }
             for table in refs {
                 // a co-located copy (primary *or* migrator-placed replica)
-                // is read in place; only genuinely remote tables ship.
+                // is read in place; only genuinely remote tables ship —
+                // zero-copy when no wire is crossed (the cast degrades it
+                // to the columnar codec otherwise).
                 // A placement() miss is a genuinely unknown table — no
                 // retry; a failing cast of a *resolved* object is racy.
                 let outcome = bd.placement(table).and_then(|entry| {
@@ -81,7 +83,7 @@ fn execute_once(bd: &BigDawg, sql: &str, placement_raced: &mut bool) -> Result<B
                         placement_dependent = true;
                     } else {
                         let tmp = bd.temp_name();
-                        bd.cast_object(table, &engine, &tmp, transport)
+                        bd.cast_object(table, &engine, &tmp, Transport::ZeroCopy)
                             .map_err(|e| {
                                 if matches!(e, BigDawgError::NotFound(_)) {
                                     *placement_raced = true;

@@ -19,12 +19,12 @@
 //! executor's **cost model** (§2.2: the monitor "collects performance data
 //! about the execution of queries … and uses it to choose among equivalent
 //! plans"). Every recorded event feeds a per-(engine, class)
-//! [`LatencyHistogram`]; every CAST feeds per-transport [`TransportStats`].
-//! [`Monitor::cheapest_engine`] and [`Monitor::preferred_transport`] turn
-//! that history into plan choices — which engine evaluates a sub-query when
-//! several could, and whether CAST ships rows over the file or binary
-//! transport. With no history (cold start) both fall back to sane defaults:
-//! the first capable engine and the binary transport.
+//! [`LatencyHistogram`]; every CAST feeds per-transport [`TransportStats`]
+//! (observability only — the transport itself is chosen structurally:
+//! zero-copy when no wire is crossed, the columnar codec otherwise).
+//! [`Monitor::cheapest_engine`] turns that history into the plan choice of
+//! which engine evaluates a sub-query when several could. With no history
+//! (cold start) it falls back to the first capable engine.
 //!
 //! Finally, the monitor feeds the **migrator** ([`crate::migrate`]): every
 //! demand-driven CAST of a named object records one *ship* —
@@ -195,10 +195,6 @@ impl LatencyHistogram {
 }
 
 /// Accumulated CAST measurements for one [`Transport`].
-///
-/// Transport cost scales with volume, so the comparable quantity is the
-/// per-row mean, not the per-cast mean — a 100-row CAST and a 100k-row CAST
-/// over the same transport otherwise look an order of magnitude apart.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TransportStats {
     /// Number of CASTs recorded.
@@ -207,18 +203,6 @@ pub struct TransportStats {
     pub rows: u64,
     /// Total end-to-end time (encode + transfer + decode).
     pub total: Duration,
-}
-
-impl TransportStats {
-    /// Mean shipping cost per row, if any rows were shipped.
-    pub fn per_row(&self) -> Option<Duration> {
-        if self.rows == 0 {
-            return None;
-        }
-        Some(Duration::from_nanos(
-            (self.total.as_nanos() / self.rows as u128) as u64,
-        ))
-    }
 }
 
 /// Per-object demand counters: how often an object was shipped (CAST by
@@ -266,7 +250,7 @@ pub struct HotObject {
 pub struct BreakerConfig {
     /// Consecutive transient failures that trip the breaker open.
     pub failure_threshold: u32,
-    /// Planner consultations ([`Monitor::engine_allowed`]) an open breaker
+    /// Planner consultations ([`BreakerBoard::allowed`]) an open breaker
     /// sits out before admitting a half-open probe.
     pub probe_after: u32,
 }
@@ -313,7 +297,7 @@ impl std::fmt::Display for BreakerState {
 }
 
 /// Snapshot of one engine's breaker, as reported by
-/// [`Monitor::engine_health`] / [`crate::BigDawg::engine_health`].
+/// [`BreakerBoard::health`] / [`crate::BigDawg::engine_health`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineHealth {
     /// Where the breaker's state machine currently sits.
@@ -751,45 +735,6 @@ impl Monitor {
         std::sync::Arc::clone(&self.breakers)
     }
 
-    /// Replace the breaker thresholds (existing breaker states are kept).
-    pub fn set_breaker_config(&self, config: BreakerConfig) {
-        self.breakers.set_config(config);
-    }
-
-    /// The active breaker thresholds.
-    pub fn breaker_config(&self) -> BreakerConfig {
-        self.breakers.config()
-    }
-
-    /// Record a transient failure of `engine` — see
-    /// [`BreakerBoard::record_failure`].
-    pub fn record_engine_failure(&self, engine: &str) -> BreakerState {
-        self.breakers.record_failure(engine)
-    }
-
-    /// Record a successful operation on `engine` — see
-    /// [`BreakerBoard::record_success`].
-    pub fn record_engine_success(&self, engine: &str) {
-        self.breakers.record_success(engine)
-    }
-
-    /// May the planner route to `engine` right now? — see
-    /// [`BreakerBoard::allowed`].
-    pub fn engine_allowed(&self, engine: &str) -> bool {
-        self.breakers.allowed(engine)
-    }
-
-    /// The breaker snapshot for one engine (closed when never tripped).
-    pub fn engine_health(&self, engine: &str) -> EngineHealth {
-        self.breakers.health(engine)
-    }
-
-    /// Every engine whose breaker is not fully healthy, sorted by name —
-    /// see [`BreakerBoard::snapshot`].
-    pub fn health_snapshot(&self) -> Vec<(String, EngineHealth)> {
-        self.breakers.snapshot()
-    }
-
     /// Breaker-aware plan choice: [`Monitor::cheapest_engine`] restricted
     /// to candidates whose breakers admit traffic. When *every* breaker is
     /// open the full candidate list competes instead — the federation
@@ -804,7 +749,7 @@ impl Monitor {
     ) -> Option<String> {
         let healthy: Vec<String> = candidates
             .iter()
-            .filter(|e| self.engine_allowed(e))
+            .filter(|e| self.breakers.allowed(e))
             .cloned()
             .collect();
         let pool = if healthy.is_empty() {
@@ -867,30 +812,6 @@ impl Monitor {
     /// Accumulated CAST stats for one transport, if any were recorded.
     pub fn transport_stats(&self, transport: Transport) -> Option<&TransportStats> {
         self.transports.get(&transport)
-    }
-
-    /// Choose the CAST transport by measured history: the one with the lower
-    /// mean per-row shipping cost. Until *both* transports have history the
-    /// binary transport wins by default (it is the paper's optimized path,
-    /// and a one-sided measurement says nothing about the comparison).
-    ///
-    /// Only the two *codec* transports compete here: zero-copy is not a
-    /// wire format — the planner picks it structurally (co-resident
-    /// engines), never from measured history, though its ships are still
-    /// recorded per-transport for observability.
-    pub fn preferred_transport(&self) -> Transport {
-        let file = self
-            .transports
-            .get(&Transport::File)
-            .and_then(TransportStats::per_row);
-        let binary = self
-            .transports
-            .get(&Transport::Binary)
-            .and_then(TransportStats::per_row);
-        match (file, binary) {
-            (Some(f), Some(b)) if f < b => Transport::File,
-            _ => Transport::Binary,
-        }
     }
 
     /// Workload summary for one object over the window.
@@ -1019,9 +940,10 @@ pub fn probe(bd: &BigDawg, object: &str, class: QueryClass) -> Result<Vec<ProbeR
             (object.to_string(), false)
         } else {
             let tmp = bd.temp_name();
-            // quiet: a probe's measurement copy is not workload demand and
-            // must not feed the migrator's hot set
-            bd.cast_object_quiet(object, &engine, &tmp, Transport::Binary)?;
+            // no demand recorded: a probe's measurement copy is not
+            // workload demand and must not feed the migrator's hot set
+            let pushdown = crate::exec::LeafPushdown::default();
+            bd.cast_object_attempts(object, &engine, &tmp, Transport::Binary, false, &pushdown)?;
             (tmp, true)
         };
         let query = probe_query(kind, class, &target_obj, &dim, &val)?;
@@ -1229,8 +1151,6 @@ mod tests {
             m.cheapest_engine(&["a".into(), "b".into()], QueryClass::Join),
             None
         );
-        // no CAST history → the optimized binary transport by default
-        assert_eq!(m.preferred_transport(), Transport::Binary);
     }
 
     #[test]
@@ -1250,35 +1170,10 @@ mod tests {
     }
 
     #[test]
-    fn preferred_transport_flips_with_history() {
-        let mut m = Monitor::new();
-        let report = |transport, rows, millis| CastReport {
-            rows,
-            wire_bytes: 0,
-            encode: Duration::from_millis(millis),
-            transfer: Duration::ZERO,
-            decode: Duration::ZERO,
-            transport,
-        };
-        // binary measured slower per row than file (e.g. tiny batches where
-        // thread spawn dominates) → the cost model switches to file
-        m.record_cast(&report(Transport::Binary, 100, 40));
-        m.record_cast(&report(Transport::File, 100, 4));
-        assert_eq!(m.preferred_transport(), Transport::File);
-        // heavier evidence the other way flips it back
-        m.record_cast(&report(Transport::File, 10, 400));
-        m.record_cast(&report(Transport::Binary, 100_000, 1));
-        assert_eq!(m.preferred_transport(), Transport::Binary);
-        let stats = m.transport_stats(Transport::File).unwrap();
-        assert_eq!(stats.casts, 2);
-        assert_eq!(stats.rows, 110);
-    }
-
-    #[test]
     fn zero_copy_stats_are_tracked_but_never_win_the_wire_choice() {
+        // nothing chooses a transport from this history (the choice is
+        // structural), so tracking is all there is to pin
         let mut m = Monitor::new();
-        // a flood of (trivially fast) zero-copy ships must not convince
-        // the cost model to pick zero-copy for a wire-crossing cast
         for _ in 0..10 {
             m.record_cast(&CastReport {
                 rows: 100_000,
@@ -1289,7 +1184,6 @@ mod tests {
                 transport: Transport::ZeroCopy,
             });
         }
-        assert_eq!(m.preferred_transport(), Transport::Binary);
         let stats = m.transport_stats(Transport::ZeroCopy).unwrap();
         assert_eq!(stats.casts, 10, "zero-copy ships are still observable");
         assert_eq!(stats.rows, 1_000_000);
@@ -1373,49 +1267,49 @@ mod tests {
 
     #[test]
     fn breaker_opens_after_consecutive_failures_and_probes_closed() {
-        let m = Monitor::new();
+        let m = BreakerBoard::default();
         let cfg = BreakerConfig::default();
-        assert_eq!(m.engine_health("scidb").state, BreakerState::Closed);
+        assert_eq!(m.health("scidb").state, BreakerState::Closed);
         // below the threshold the breaker stays closed (streak visible)
         for i in 1..cfg.failure_threshold {
-            assert_eq!(m.record_engine_failure("scidb"), BreakerState::Closed);
-            assert_eq!(m.engine_health("scidb").consecutive_failures, i);
-            assert!(m.engine_allowed("scidb"));
+            assert_eq!(m.record_failure("scidb"), BreakerState::Closed);
+            assert_eq!(m.health("scidb").consecutive_failures, i);
+            assert!(m.allowed("scidb"));
         }
         // the threshold-th consecutive failure trips it open
-        assert_eq!(m.record_engine_failure("scidb"), BreakerState::Open);
+        assert_eq!(m.record_failure("scidb"), BreakerState::Open);
         // open: the planner is refused for `probe_after - 1` consultations…
         for _ in 1..cfg.probe_after {
-            assert!(!m.engine_allowed("scidb"));
+            assert!(!m.allowed("scidb"));
         }
         // …then a half-open probe is admitted
-        assert!(m.engine_allowed("scidb"));
-        assert_eq!(m.engine_health("scidb").state, BreakerState::HalfOpen);
+        assert!(m.allowed("scidb"));
+        assert_eq!(m.health("scidb").state, BreakerState::HalfOpen);
         // a failed probe re-opens with a fresh cooldown
-        assert_eq!(m.record_engine_failure("scidb"), BreakerState::Open);
-        assert!(!m.engine_allowed("scidb"));
+        assert_eq!(m.record_failure("scidb"), BreakerState::Open);
+        assert!(!m.allowed("scidb"));
         for _ in 1..cfg.probe_after {
-            m.engine_allowed("scidb");
+            m.allowed("scidb");
         }
-        assert!(m.engine_allowed("scidb"), "second probe admitted");
+        assert!(m.allowed("scidb"), "second probe admitted");
         // a successful probe closes the breaker and clears the streak
-        m.record_engine_success("scidb");
-        let h = m.engine_health("scidb");
+        m.record_success("scidb");
+        let h = m.health("scidb");
         assert_eq!(h.state, BreakerState::Closed);
         assert_eq!(h.consecutive_failures, 0);
-        assert!(m.health_snapshot().is_empty());
+        assert!(m.snapshot().is_empty());
     }
 
     #[test]
     fn success_resets_a_failure_streak_before_the_trip() {
-        let m = Monitor::new();
-        m.record_engine_failure("pg");
-        m.record_engine_failure("pg");
-        m.record_engine_success("pg");
+        let m = BreakerBoard::default();
+        m.record_failure("pg");
+        m.record_failure("pg");
+        m.record_success("pg");
         // the streak restarted: two more failures still do not trip it
-        m.record_engine_failure("pg");
-        assert_eq!(m.record_engine_failure("pg"), BreakerState::Closed);
-        assert!(m.engine_allowed("pg"));
+        m.record_failure("pg");
+        assert_eq!(m.record_failure("pg"), BreakerState::Closed);
+        assert!(m.allowed("pg"));
     }
 
     #[test]
@@ -1433,7 +1327,7 @@ mod tests {
         );
         // …until its breaker opens: the sick engine is routed around
         for _ in 0..3 {
-            m.record_engine_failure("pg_a");
+            m.breaker_board().record_failure("pg_a");
         }
         assert_eq!(
             m.cheapest_healthy_engine(&candidates, QueryClass::Join),
@@ -1442,7 +1336,7 @@ mod tests {
         // with every breaker open the full list competes again (the pick
         // doubles as the probe) — never a refusal to plan
         for _ in 0..3 {
-            m.record_engine_failure("pg_b");
+            m.breaker_board().record_failure("pg_b");
         }
         assert_eq!(
             m.cheapest_healthy_engine(&candidates, QueryClass::Join),
@@ -1453,12 +1347,12 @@ mod tests {
 
     #[test]
     fn health_snapshot_lists_sick_engines_sorted() {
-        let m = Monitor::new();
+        let m = BreakerBoard::default();
         for _ in 0..3 {
-            m.record_engine_failure("zeta");
+            m.record_failure("zeta");
         }
-        m.record_engine_failure("alpha");
-        let snap = m.health_snapshot();
+        m.record_failure("alpha");
+        let snap = m.snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].0, "alpha");
         assert_eq!(snap[0].1.state, BreakerState::Closed);

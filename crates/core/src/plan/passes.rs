@@ -43,15 +43,14 @@ const CAST_CLASS: QueryClass = QueryClass::SqlFilter;
 ///   engines of the kind instead of "first by name";
 /// * a move whose object already has a copy on the target engine is
 ///   **elided** ([`MoveResolution::Elided`]) — the migrator's payoff;
-/// * otherwise the transport comes from the monitor's cost model
-///   (zero-copy when no wire is crossed, else the measured preference),
-///   failover edges are collected under a failover-enabled policy, and a
-///   temporary name is reserved ([`MoveResolution::Ship`]).
+/// * otherwise the transport is structural (zero-copy when no wire is
+///   crossed, else the columnar codec), failover edges are collected
+///   under a failover-enabled policy, and a temporary name is reserved
+///   ([`MoveResolution::Ship`]).
 pub fn resolve_placements(bd: &BigDawg, root: &mut LogicalPlan) -> Result<()> {
     let LogicalPlan::Gather { inputs, .. } = root else {
         return Ok(());
     };
-    let preferred = bd.preferred_transport();
     let failover = bd.retry_policy().failover;
     for node in inputs.iter_mut() {
         let LogicalPlan::CastMove {
@@ -66,11 +65,7 @@ pub fn resolve_placements(bd: &BigDawg, root: &mut LogicalPlan) -> Result<()> {
         // a sub-query's rows are materialized from coordinator memory, so
         // only the target's side of the wire matters; an object ship also
         // crosses the source's wire
-        let mut transport = if bd.co_resident(&target_engine) {
-            Transport::ZeroCopy
-        } else {
-            preferred
-        };
+        let mut zero_copy = bd.co_resident(&target_engine);
         let mut fallbacks = Vec::new();
         if let LogicalPlan::Scan { object } = input.as_ref() {
             let Ok(entry) = bd.placement(object) else {
@@ -85,11 +80,9 @@ pub fn resolve_placements(bd: &BigDawg, root: &mut LogicalPlan) -> Result<()> {
                 });
                 continue;
             }
-            if !bd.co_resident(&entry.engine) {
-                // the object must cross its home engine's wire: zero-copy
-                // is off the table regardless of the target's side
-                transport = preferred;
-            }
+            // an object that must cross its home engine's wire cannot
+            // ship zero-copy, whatever the target's side looks like
+            zero_copy &= bd.co_resident(&entry.engine);
             if failover {
                 // failover edges: the leaf reads the primary first, and a
                 // transient failure falls back to the surviving replicas
@@ -98,7 +91,11 @@ pub fn resolve_placements(bd: &BigDawg, root: &mut LogicalPlan) -> Result<()> {
         }
         *resolved = Some(MoveResolution::Ship {
             engine: target_engine,
-            transport,
+            transport: if zero_copy {
+                Transport::ZeroCopy
+            } else {
+                Transport::Binary
+            },
             temp: bd.temp_name(),
             fallbacks,
         });
@@ -383,58 +380,12 @@ fn prune_projections(sel: &SelectStatement, inputs: &mut [LogicalPlan]) {
 /// predicate evaluates against the source object, where the gather-side
 /// alias does not exist.
 fn strip_qualifier(e: &Expr, qual: &str) -> Expr {
-    let strip = |b: &Expr| Box::new(strip_qualifier(b, qual));
-    match e {
-        Expr::Column(name) => match name.split_once('.') {
-            Some((q, bare)) if q == qual => Expr::Column(bare.to_string()),
-            _ => e.clone(),
-        },
-        Expr::Literal(_) => e.clone(),
-        Expr::Aggregate {
-            func,
-            arg,
-            distinct,
-        } => Expr::Aggregate {
-            func: *func,
-            arg: arg.as_deref().map(strip),
-            distinct: *distinct,
-        },
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op: *op,
-            left: strip(left),
-            right: strip(right),
-        },
-        Expr::Not(inner) => Expr::Not(strip(inner)),
-        Expr::Neg(inner) => Expr::Neg(strip(inner)),
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: strip(expr),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: strip(expr),
-            list: list.iter().map(|x| strip_qualifier(x, qual)).collect(),
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: strip(expr),
-            low: strip(low),
-            high: strip(high),
-            negated: *negated,
-        },
-        Expr::Call { func, args } => Expr::Call {
-            func: *func,
-            args: args.iter().map(|x| strip_qualifier(x, qual)).collect(),
-        },
-    }
+    e.clone()
+        .map_columns(&mut |name| match name.split_once('.') {
+            Some((q, bare)) if q == qual => Ok(bare.to_string()),
+            _ => Ok(name),
+        })
+        .expect("the mapper is infallible")
 }
 
 /// Render an expression back to SQL text. Fully parenthesized, so

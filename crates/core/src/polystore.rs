@@ -45,7 +45,9 @@ const _: fn() = || {
 /// assert_eq!(rows.rows()[0][0], bigdawg_common::Value::Int(2));
 /// ```
 pub struct BigDawg {
-    engines: BTreeMap<String, Mutex<Box<dyn Shim>>>,
+    /// Each engine's shim behind its mutex, with the (immutable) engine
+    /// kind beside it so kind lookups never take an engine lock.
+    engines: BTreeMap<String, (EngineKind, Mutex<Box<dyn Shim>>)>,
     catalog: RwLock<Catalog>,
     monitor: Mutex<Monitor>,
     /// The monitor's circuit-breaker board, shared so data paths (and the
@@ -107,6 +109,25 @@ struct PlacementGuard<'a> {
 impl Drop for PlacementGuard<'_> {
     fn drop(&mut self) {
         self.bd.placements_in_flight.lock().remove(&self.object);
+    }
+}
+
+/// What a placement does with the copy it lands: make it the primary and
+/// drop the source, or register it as one more replica.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Placement {
+    Move,
+    Replica,
+}
+
+impl Placement {
+    /// The words the two kinds differ by: the verb (also the retry
+    /// scope), the noun, what an epoch-race abort did, the metrics label.
+    fn words(self) -> (&'static str, &'static str, &'static str, &'static str) {
+        match self {
+            Placement::Move => ("migrate", "migration", "move aborted", "move"),
+            Placement::Replica => ("replicate", "replication", "copy discarded", "replicate"),
+        }
     }
 }
 
@@ -209,11 +230,15 @@ impl BigDawg {
                 cat.register(&obj, &name, default_kind(kind));
             }
         }
-        self.engines.insert(name, Mutex::new(shim));
+        self.engines.insert(name, (kind, Mutex::new(shim)));
     }
 
     /// The named engine's shim, behind its per-engine mutex.
     pub fn engine(&self, name: &str) -> Result<&Mutex<Box<dyn Shim>>> {
+        self.engine_entry(name).map(|(_, shim)| shim)
+    }
+
+    fn engine_entry(&self, name: &str) -> Result<&(EngineKind, Mutex<Box<dyn Shim>>)> {
         self.engines
             .get(name)
             .ok_or_else(|| BigDawgError::NotFound(format!("engine `{name}`")))
@@ -228,7 +253,7 @@ impl BigDawg {
     pub fn engine_of_kind(&self, kind: EngineKind) -> Result<String> {
         self.engines
             .iter()
-            .find(|(_, e)| e.lock().kind() == kind)
+            .find(|(_, (k, _))| *k == kind)
             .map(|(n, _)| n.clone())
             .ok_or_else(|| {
                 BigDawgError::NotFound(format!("an engine of kind `{kind}` in the federation"))
@@ -240,7 +265,7 @@ impl BigDawg {
     pub fn engines_of_kind(&self, kind: EngineKind) -> Vec<String> {
         self.engines
             .iter()
-            .filter(|(_, e)| e.lock().kind() == kind)
+            .filter(|(_, (k, _))| *k == kind)
             .map(|(n, _)| n.clone())
             .collect()
     }
@@ -260,21 +285,17 @@ impl BigDawg {
     /// doubles as the probe that lets a recovered engine's breaker close.
     pub fn choose_engine_of_kind(&self, kind: EngineKind, class: QueryClass) -> Result<String> {
         let candidates = self.engines_of_kind(kind);
-        if candidates.is_empty() {
-            return Err(BigDawgError::NotFound(format!(
-                "an engine of kind `{kind}` in the federation"
-            )));
-        }
-        Ok(self
-            .monitor
+        self.monitor
             .lock()
             .cheapest_healthy_engine(&candidates, class)
-            .expect("candidates checked non-empty"))
+            .ok_or_else(|| {
+                BigDawgError::NotFound(format!("an engine of kind `{kind}` in the federation"))
+            })
     }
 
     /// The engine kind of a registered engine.
     pub fn kind_of(&self, engine: &str) -> Result<EngineKind> {
-        Ok(self.engine(engine)?.lock().kind())
+        Ok(self.engine_entry(engine)?.0)
     }
 
     /// The emulated wire latency between the coordinator and `engine`
@@ -291,20 +312,6 @@ impl BigDawg {
     /// them ([`Transport::ZeroCopy`]).
     pub fn co_resident(&self, engine: &str) -> bool {
         self.wire_of(engine).is_zero()
-    }
-
-    /// The transport a ship toward `to_engine` may actually use: zero-copy
-    /// cannot reach an engine behind a wire, whatever the source side
-    /// looks like (the in-flight degrade in `ship_with_wire` only sees the
-    /// source's wire), so it falls back to the binary codec. Every
-    /// cast-like entry point must route its requested transport through
-    /// here before shipping.
-    fn effective_transport(&self, transport: Transport, to_engine: &str) -> Transport {
-        if transport == Transport::ZeroCopy && !self.co_resident(to_engine) {
-            Transport::Binary
-        } else {
-            transport
-        }
     }
 
     // ---- catalog -----------------------------------------------------------
@@ -354,9 +361,9 @@ impl BigDawg {
                 _ => self.clear_orphan(engine, object),
             }
         }
-        for (name, shim) in &self.engines {
+        for (name, (kind, shim)) in &self.engines {
             let shim = shim.lock();
-            let kind = default_kind(shim.kind());
+            let kind = default_kind(*kind);
             let names = shim.object_names();
             let orphans = self.orphans.lock();
             let mut cat = self.catalog.write();
@@ -420,47 +427,19 @@ impl BigDawg {
         new_name: &str,
         transport: Transport,
     ) -> Result<CastReport> {
-        self.cast_object_impl(object, to_engine, new_name, transport, true)
-    }
-
-    /// [`BigDawg::cast_object`] minus the demand recording — for the
-    /// monitor's own measurement copies (`probe`), which must not
-    /// masquerade as workload demand: placement reacts to queries, not to
-    /// the monitor measuring itself.
-    pub(crate) fn cast_object_quiet(
-        &self,
-        object: &str,
-        to_engine: &str,
-        new_name: &str,
-        transport: Transport,
-    ) -> Result<CastReport> {
-        self.cast_object_impl(object, to_engine, new_name, transport, false)
-    }
-
-    fn cast_object_impl(
-        &self,
-        object: &str,
-        to_engine: &str,
-        new_name: &str,
-        transport: Transport,
-        record_demand: bool,
-    ) -> Result<CastReport> {
-        self.cast_object_attempts(
-            object,
-            to_engine,
-            new_name,
-            transport,
-            record_demand,
-            &exec::LeafPushdown::default(),
-        )
-        .map(|(report, _retries)| report)
+        let pushdown = exec::LeafPushdown::default();
+        self.cast_object_attempts(object, to_engine, new_name, transport, true, &pushdown)
+            .map(|(report, _retries)| report)
     }
 
     /// [`BigDawg::cast_object`] plus the number of retries the winning
     /// attempt consumed (0 = first try) — the per-leaf retry count
     /// `EXPLAIN ANALYZE` reports. `pushdown` carries the rewrites the
     /// optimizer planted below this CAST boundary; they are applied to the
-    /// rows before wire encoding.
+    /// rows before wire encoding. `record_demand` is off for the monitor's
+    /// own measurement copies (`probe`), which must not masquerade as
+    /// workload demand: placement reacts to queries, not to the monitor
+    /// measuring itself.
     pub(crate) fn cast_object_attempts(
         &self,
         object: &str,
@@ -470,7 +449,6 @@ impl BigDawg {
         record_demand: bool,
         pushdown: &exec::LeafPushdown,
     ) -> Result<(CastReport, u32)> {
-        let transport = self.effective_transport(transport, to_engine);
         let observer = self.retry_observer("cast");
         // each retry attempt re-runs the whole cast — re-resolving the
         // placement and re-sweeping the surviving copies, so an engine
@@ -503,30 +481,83 @@ impl BigDawg {
         }
     }
 
-    /// Count one data-plane shim call (`get_table`/`put_table`/
-    /// `execute_native`) into the per-engine op counters; transient
-    /// failures also feed the failure counter, mirroring the breaker
-    /// bookkeeping 1:1.
-    pub(crate) fn count_engine_op(&self, engine: &str, op: &str, failed_transiently: bool) {
+    /// One data-plane shim call (`get_table`/`put_table`/`execute_native`)
+    /// with all its bookkeeping in one place: the call runs under the
+    /// engine's lock inside a `span` labelled with the engine, is counted
+    /// into the per-engine op counters, and feeds the engine's circuit
+    /// breaker — success closes it, a transient failure counts against it
+    /// (and into the failure counter, mirroring the breaker 1:1), any
+    /// other error (a `not_found` placement race, a rejected statement)
+    /// is counted but says nothing about the engine's health.
+    pub(crate) fn engine_call<T>(
+        &self,
+        engine: &str,
+        op: &str,
+        span: &'static str,
+        call: impl FnOnce(&mut dyn Shim) -> Result<T>,
+    ) -> Result<T> {
+        let result = {
+            let _span = self.tracer.span(span, engine);
+            call(self.engine(engine)?.lock().as_mut())
+        };
+        let labels = [("engine", engine), ("op", op)];
         self.metrics
-            .counter(&labeled(
-                "bigdawg_engine_ops_total",
-                &[("engine", engine), ("op", op)],
-            ))
+            .counter(&labeled("bigdawg_engine_ops_total", &labels))
             .inc();
-        if failed_transiently {
-            self.metrics
-                .counter(&labeled(
-                    "bigdawg_engine_op_failures_total",
-                    &[("engine", engine), ("op", op)],
-                ))
-                .inc();
+        match &result {
+            Ok(_) => self.breakers.record_success(engine),
+            Err(e) if retry::is_transient(e) => {
+                self.metrics
+                    .counter(&labeled("bigdawg_engine_op_failures_total", &labels))
+                    .inc();
+                self.breakers.record_failure(engine);
+            }
+            Err(_) => {}
         }
+        result
     }
 
-    /// Accumulate one successful CAST into the registry: cast count by
-    /// transport, wire bytes, and the shipping-time histogram.
-    fn record_cast_metrics(&self, report: &CastReport) {
+    /// Ship `batch` and land it on `to_engine` as `name` — the one write
+    /// path CAST, sub-query materialization and placement copies share.
+    /// `wire` is the source side's payload leg (the request round-trip was
+    /// paid inside `get_table`); the binary transport pipelines it
+    /// chunk-by-chunk, the file transport pays it flat. Zero-copy cannot
+    /// reach a target behind a wire, whatever the source side looks like
+    /// (the in-flight degrade in `ship_with_wire` only sees the source's
+    /// wire), so it falls back to the binary codec here.
+    fn land(
+        &self,
+        batch: &Batch,
+        to_engine: &str,
+        name: &str,
+        transport: Transport,
+        wire: Duration,
+    ) -> Result<CastReport> {
+        let transport = if transport == Transport::ZeroCopy && !self.co_resident(to_engine) {
+            Transport::Binary
+        } else {
+            transport
+        };
+        let (shipped, report) = ship_with_wire_traced(batch, transport, wire, &self.tracer)?;
+        self.engine_call(to_engine, "write", "cast.ingress", |shim| {
+            shim.put_table(name, shipped)
+        })?;
+        Ok(report)
+    }
+
+    /// [`BigDawg::land`] for a CAST temporary: the landed copy is
+    /// cataloged under its own name and the ship accumulates into the
+    /// registry — cast count by transport, wire bytes, and the
+    /// shipping-time histogram.
+    fn land_temp(
+        &self,
+        batch: &Batch,
+        to_engine: &str,
+        name: &str,
+        transport: Transport,
+        wire: Duration,
+    ) -> Result<CastReport> {
+        let report = self.land(batch, to_engine, name, transport, wire)?;
         self.metrics
             .counter(&labeled(
                 "bigdawg_casts_total",
@@ -539,6 +570,9 @@ impl BigDawg {
         self.metrics
             .histogram("bigdawg_cast_duration_microseconds")
             .record(report.total());
+        let kind = default_kind(self.kind_of(to_engine)?);
+        self.catalog.write().register(name, to_engine, kind);
+        Ok(report)
     }
 
     /// One cast attempt: read a copy (failing over across placements when
@@ -567,34 +601,8 @@ impl BigDawg {
             // pushed-down rewrites run here, after the source read and
             // before wire encoding: filtered rows and pruned columns never
             // pay for codec, wire, or target ingest
-            let batch = match crate::plan::apply_pushdown(&batch, pushdown) {
-                Some(rewritten) => rewritten,
-                None => batch,
-            };
-            // the payload transfer leg of the emulated wire (the request
-            // round-trip was paid inside get_table); the binary transport
-            // pipelines it chunk-by-chunk, the file transport pays it flat
-            let (shipped, report) = ship_with_wire_traced(&batch, transport, wire, &self.tracer)?;
-            let put = {
-                let _ingress = self.tracer.span("cast.ingress", to_engine);
-                self.engine(to_engine)?.lock().put_table(new_name, shipped)
-            };
-            if let Err(e) = put {
-                let transient = retry::is_transient(&e);
-                self.count_engine_op(to_engine, "write", transient);
-                if transient {
-                    self.breakers.record_failure(to_engine);
-                }
-                return Err(e);
-            }
-            self.count_engine_op(to_engine, "write", false);
-            self.breakers.record_success(to_engine);
-            self.record_cast_metrics(&report);
-            // resolve the kind (an engine lock) before taking the catalog
-            // lock: the write path nests engine → catalog, so nesting
-            // catalog → engine here would form a lock-order cycle
-            let kind = default_kind(self.kind_of(to_engine)?);
-            self.catalog.write().register(new_name, to_engine, kind);
+            let batch = plan::apply_pushdown(&batch, pushdown).unwrap_or(batch);
+            let report = self.land_temp(&batch, to_engine, new_name, transport, wire)?;
             if record_demand && source != to_engine {
                 self.monitor.lock().record_ship(object, to_engine);
             }
@@ -703,38 +711,16 @@ impl BigDawg {
         }
     }
 
-    /// Read `object` from one specific engine, with all the per-op
-    /// bookkeeping in one place: op counters, breaker feedback, and (on
-    /// success) the read-latency board that drives hedging thresholds.
-    fn read_one_copy(&self, object: &str, source: &str) -> Result<(Batch, std::time::Duration)> {
-        let egress = self.tracer.span("cast.egress", source);
+    /// Read `object` from one specific engine; a success also feeds the
+    /// read-latency board that drives hedging thresholds.
+    fn read_one_copy(&self, object: &str, source: &str) -> Result<(Batch, Duration)> {
         let started = std::time::Instant::now();
-        let (got, wire) = {
-            let guard = self.engine(source)?.lock();
-            (guard.get_table(object), guard.wire_latency())
-        };
-        drop(egress);
-        match got {
-            Ok(batch) => {
-                self.count_engine_op(source, "read", false);
-                self.breakers.record_success(source);
-                self.latency_board
-                    .record_read(source, READ_CLASS, started.elapsed());
-                Ok((batch, wire))
-            }
-            Err(e @ BigDawgError::NotFound(_)) => {
-                self.count_engine_op(source, "read", false);
-                Err(e)
-            }
-            Err(e) => {
-                let transient = retry::is_transient(&e);
-                self.count_engine_op(source, "read", transient);
-                if transient {
-                    self.breakers.record_failure(source);
-                }
-                Err(e)
-            }
-        }
+        let read = self.engine_call(source, "read", "cast.egress", |shim| {
+            Ok((shim.get_table(object)?, shim.wire_latency()))
+        })?;
+        self.latency_board
+            .record_read(source, READ_CLASS, started.elapsed());
+        Ok(read)
     }
 
     /// A hedged replica read: start the preferred copy, and if it has not
@@ -841,24 +827,13 @@ impl BigDawg {
         }
     }
 
-    /// Materialize an intermediate result batch on an engine (used by
-    /// SCOPE for nested CAST subqueries). Untyped result columns are
+    /// Materialize an intermediate result batch on an engine (SCOPE's
+    /// nested CAST sub-queries), returning the ship's report plus the
+    /// retry count of the winning attempt — the sub-query leg of `EXPLAIN
+    /// ANALYZE`'s per-leaf retry count. Untyped result columns are
     /// narrowed to their value types first ([`Batch::narrow_types`]) so
     /// strictly typed target engines accept them.
-    pub fn materialize(
-        &self,
-        batch: Batch,
-        to_engine: &str,
-        name: &str,
-        transport: Transport,
-    ) -> Result<CastReport> {
-        self.materialize_attempts(batch, to_engine, name, transport)
-            .map(|(report, _retries)| report)
-    }
-
-    /// [`BigDawg::materialize`] plus the retry count of the winning attempt
-    /// — the sub-query leg of `EXPLAIN ANALYZE`'s per-leaf retry count.
-    pub(crate) fn materialize_attempts(
+    pub(crate) fn materialize(
         &self,
         batch: Batch,
         to_engine: &str,
@@ -866,38 +841,14 @@ impl BigDawg {
         transport: Transport,
     ) -> Result<(CastReport, u32)> {
         let batch = batch.narrow_types();
-        let transport = self.effective_transport(transport, to_engine);
         let observer = self.retry_observer("materialize");
         retry::with_retry_observed(
             &self.retry_policy(),
             retry::stable_hash(name),
             Some(&observer),
             |attempt| {
-                let (shipped, report) = ship_with_wire_traced(
-                    &batch,
-                    transport,
-                    std::time::Duration::ZERO,
-                    &self.tracer,
-                )?;
-                let put = {
-                    let _ingress = self.tracer.span("cast.ingress", to_engine);
-                    self.engine(to_engine)?.lock().put_table(name, shipped)
-                };
-                if let Err(e) = put {
-                    let transient = retry::is_transient(&e);
-                    self.count_engine_op(to_engine, "write", transient);
-                    if transient {
-                        self.breakers.record_failure(to_engine);
-                    }
-                    return Err(e);
-                }
-                self.count_engine_op(to_engine, "write", false);
-                self.breakers.record_success(to_engine);
-                self.record_cast_metrics(&report);
-                // kind first, catalog lock second (see cast_object on lock order)
-                let kind = default_kind(self.kind_of(to_engine)?);
-                self.catalog.write().register(name, to_engine, kind);
-                Ok((report, attempt))
+                self.land_temp(&batch, to_engine, name, transport, Duration::ZERO)
+                    .map(|report| (report, attempt))
             },
         )
     }
@@ -998,140 +949,7 @@ impl BigDawg {
         to_engine: &str,
         transport: Transport,
     ) -> Result<CastReport> {
-        let _in_flight = self.begin_placement(object)?;
-        self.migrate_object_inner(object, to_engine, transport)
-    }
-
-    fn migrate_object_inner(
-        &self,
-        object: &str,
-        to_engine: &str,
-        transport: Transport,
-    ) -> Result<CastReport> {
-        let entry = self.placement(object)?;
-        let from_engine = entry.engine.clone();
-        if from_engine == to_engine {
-            return Err(BigDawgError::Execution(format!(
-                "object `{object}` already lives on `{to_engine}`"
-            )));
-        }
-        if entry.kind.is_pinned() {
-            return Err(BigDawgError::Unsupported(format!(
-                "{} `{object}` is bound to its engine and cannot migrate",
-                entry.kind
-            )));
-        }
-        self.engine(to_engine)?; // fail before copying if the target is unknown
-
-        // 1. copy (skipped when promoting an existing replica)
-        let promoting = entry.located_on(to_engine);
-        let report = if promoting {
-            CastReport {
-                rows: 0,
-                wire_bytes: 0,
-                encode: std::time::Duration::ZERO,
-                transfer: std::time::Duration::ZERO,
-                decode: std::time::Duration::ZERO,
-                transport,
-            }
-        } else {
-            let _copy_span = self
-                .tracer
-                .span("migrate.copy", format_args!("{object} -> {to_engine}"));
-            let transport = self.effective_transport(transport, to_engine);
-            let policy = self.retry_policy();
-            let key = retry::stable_hash(object);
-            let observer = self.retry_observer("migrate");
-            // the copy step retries under the federation policy: the read
-            // sweeps the surviving placements (any intact copy is a valid
-            // source — the commit's epoch guard rejects stale data), the
-            // put retries against the same target
-            let (batch, wire, _source) =
-                retry::with_retry_observed(&policy, key, Some(&observer), |_| {
-                    self.read_object_copy(object, None)
-                })?;
-            let put = retry::with_retry_observed(&policy, key, Some(&observer), |_| {
-                let (shipped, report) =
-                    ship_with_wire_traced(&batch, transport, wire, &self.tracer)?;
-                let landed = {
-                    let _ingress = self.tracer.span("cast.ingress", to_engine);
-                    self.engine(to_engine)?.lock().put_table(object, shipped)
-                };
-                match landed {
-                    Ok(()) => {
-                        self.count_engine_op(to_engine, "write", false);
-                        self.breakers.record_success(to_engine);
-                        Ok(report)
-                    }
-                    Err(e) => {
-                        let transient = retry::is_transient(&e);
-                        self.count_engine_op(to_engine, "write", transient);
-                        if transient {
-                            self.breakers.record_failure(to_engine);
-                        }
-                        Err(e)
-                    }
-                }
-            });
-            let report = match put {
-                Ok(report) => report,
-                Err(e) => {
-                    // abort: drop whatever partial state the target holds;
-                    // the catalog still points at the intact source
-                    self.drop_or_orphan(to_engine, object);
-                    return Err(e);
-                }
-            };
-            // a fresh copy just landed under this name: if an old orphan
-            // lived here, it no longer does
-            self.clear_orphan(to_engine, object);
-            report
-        };
-
-        // a cancellation (or deadline) observed between copy and commit
-        // aborts *pre-commit*: the target copy is dropped, the catalog —
-        // and therefore the epoch protocol — is untouched
-        if let Err(e) = deadline::check_current() {
-            if !promoting {
-                self.drop_or_orphan(to_engine, object);
-            }
-            return Err(e);
-        }
-
-        // 2. commit, guarded by the placement epoch
-        {
-            let _commit_span = self
-                .tracer
-                .span("migrate.commit", format_args!("{object} -> {to_engine}"));
-            let mut cat = self.catalog.write();
-            let now_epoch = cat.locate(object)?.epoch;
-            if now_epoch != entry.epoch {
-                drop(cat);
-                if !promoting {
-                    self.drop_or_orphan(to_engine, object);
-                }
-                return Err(BigDawgError::Execution(format!(
-                    "placement of `{object}` changed during migration \
-                     (epoch {} -> {now_epoch}); move aborted",
-                    entry.epoch
-                )));
-            }
-            cat.relocate(object, to_engine)?;
-        }
-        self.metrics
-            .counter(&labeled("bigdawg_migrations_total", &[("kind", "move")]))
-            .inc();
-
-        // 3. cleanup: drop the source copy. The move is already committed,
-        // so a refusing source engine must not surface as a failed
-        // migration; its undropped copy is left as an *unreferenced* orphan
-        // — never registered as a replica, because a write racing the
-        // commit window may have landed on (and been refused from) exactly
-        // that copy, so its contents can no longer be trusted to match the
-        // new primary. The orphan is recorded so `refresh_catalog` never
-        // resurrects it and reaps it once the engine allows the drop.
-        self.drop_or_orphan(&from_engine, object);
-        Ok(report)
+        self.place(object, to_engine, transport, Placement::Move)
     }
 
     /// Place an identical copy of `object` on `to_engine`, keeping the
@@ -1150,80 +968,92 @@ impl BigDawg {
         to_engine: &str,
         transport: Transport,
     ) -> Result<CastReport> {
-        let _in_flight = self.begin_placement(object)?;
-        self.replicate_object_inner(object, to_engine, transport)
+        self.place(object, to_engine, transport, Placement::Replica)
     }
 
-    fn replicate_object_inner(
+    /// The copy-then-commit protocol behind [`BigDawg::migrate_object`]
+    /// and [`BigDawg::replicate_object`]; the two differ only in the
+    /// commit (`relocate` vs `add_replica`), one pre-check, and the
+    /// move's promotion short-cut and source drop.
+    fn place(
         &self,
         object: &str,
         to_engine: &str,
         transport: Transport,
+        how: Placement,
     ) -> Result<CastReport> {
+        let _in_flight = self.begin_placement(object)?;
+        let (verb, noun, aborted, label) = how.words();
         let entry = self.placement(object)?;
+        if how == Placement::Move && entry.engine == to_engine {
+            return Err(BigDawgError::Execution(format!(
+                "object `{object}` already lives on `{to_engine}`"
+            )));
+        }
         if entry.kind.is_pinned() {
             return Err(BigDawgError::Unsupported(format!(
-                "{} `{object}` is bound to its engine and cannot replicate",
+                "{} `{object}` is bound to its engine and cannot {verb}",
                 entry.kind
             )));
         }
-        if entry.located_on(to_engine) {
+        if how == Placement::Replica && entry.located_on(to_engine) {
             return Err(BigDawgError::Execution(format!(
                 "`{to_engine}` already holds a copy of `{object}`"
             )));
         }
-        self.engine(to_engine)?;
+        self.engine(to_engine)?; // fail before copying if the target is unknown
 
-        let transport = self.effective_transport(transport, to_engine);
-        let policy = self.retry_policy();
-        let key = retry::stable_hash(object);
-        let observer = self.retry_observer("replicate");
-        // same retrying copy step as migration: any surviving placement
-        // may serve the read (the epoch guard below rejects stale copies)
-        let copy_span = self
-            .tracer
-            .span("migrate.copy", format_args!("{object} -> {to_engine}"));
-        let (batch, wire, _source) =
-            retry::with_retry_observed(&policy, key, Some(&observer), |_| {
-                self.read_object_copy(object, None)
-            })?;
-        let put = retry::with_retry_observed(&policy, key, Some(&observer), |_| {
-            let (shipped, report) = ship_with_wire_traced(&batch, transport, wire, &self.tracer)?;
-            let landed = {
-                let _ingress = self.tracer.span("cast.ingress", to_engine);
-                self.engine(to_engine)?.lock().put_table(object, shipped)
-            };
-            match landed {
-                Ok(()) => {
-                    self.count_engine_op(to_engine, "write", false);
-                    self.breakers.record_success(to_engine);
-                    Ok(report)
-                }
-                Err(e) => {
-                    let transient = retry::is_transient(&e);
-                    self.count_engine_op(to_engine, "write", transient);
-                    if transient {
-                        self.breakers.record_failure(to_engine);
-                    }
-                    Err(e)
-                }
+        // 1. copy — skipped when a move promotes an existing replica
+        let promoting = entry.located_on(to_engine);
+        let report = if promoting {
+            CastReport {
+                rows: 0,
+                wire_bytes: 0,
+                encode: Duration::ZERO,
+                transfer: Duration::ZERO,
+                decode: Duration::ZERO,
+                transport,
             }
-        });
-        drop(copy_span);
-        let report = match put {
-            Ok(report) => report,
-            Err(e) => {
+        } else {
+            let _copy_span = self
+                .tracer
+                .span("migrate.copy", format_args!("{object} -> {to_engine}"));
+            let policy = self.retry_policy();
+            let key = retry::stable_hash(object);
+            let observer = self.retry_observer(verb);
+            // the copy step retries under the federation policy: the read
+            // sweeps the surviving placements (any intact copy is a valid
+            // source — the commit's epoch guard rejects stale data), the
+            // put retries against the same target
+            let (batch, wire, _source) =
+                retry::with_retry_observed(&policy, key, Some(&observer), |_| {
+                    self.read_object_copy(object, None)
+                })?;
+            let landed = retry::with_retry_observed(&policy, key, Some(&observer), |_| {
+                self.land(&batch, to_engine, object, transport, wire)
+            });
+            // abort: drop whatever partial state the target holds; the
+            // catalog still points at the intact source
+            let report = landed.inspect_err(|_| self.drop_or_orphan(to_engine, object))?;
+            // a fresh copy just landed under this name: if an old orphan
+            // lived here, it no longer does
+            self.clear_orphan(to_engine, object);
+            report
+        };
+        // every pre-commit abort below discards the copy this call landed
+        // (a promoted replica was not ours to drop)
+        let discard = || {
+            if !promoting {
                 self.drop_or_orphan(to_engine, object);
-                return Err(e);
             }
         };
-        self.clear_orphan(to_engine, object);
-        // cancelled mid-replication: discard the landed copy pre-commit,
-        // leaving the catalog (and its epochs) untouched
-        if let Err(e) = deadline::check_current() {
-            self.drop_or_orphan(to_engine, object);
-            return Err(e);
-        }
+
+        // a cancellation (or deadline) observed between copy and commit
+        // aborts *pre-commit*: the target copy is dropped, the catalog —
+        // and therefore the epoch protocol — is untouched
+        deadline::check_current().inspect_err(|_| discard())?;
+
+        // 2. commit, guarded by the placement epoch
         {
             let _commit_span = self
                 .tracer
@@ -1232,21 +1062,34 @@ impl BigDawg {
             let now_epoch = cat.locate(object)?.epoch;
             if now_epoch != entry.epoch {
                 drop(cat);
-                self.drop_or_orphan(to_engine, object);
+                discard();
                 return Err(BigDawgError::Execution(format!(
-                    "placement of `{object}` changed during replication \
-                     (epoch {} -> {now_epoch}); copy discarded",
+                    "placement of `{object}` changed during {noun} \
+                     (epoch {} -> {now_epoch}); {aborted}",
                     entry.epoch
                 )));
             }
-            cat.add_replica(object, to_engine)?;
+            match how {
+                Placement::Move => cat.relocate(object, to_engine)?,
+                Placement::Replica => cat.add_replica(object, to_engine)?,
+            };
         }
         self.metrics
-            .counter(&labeled(
-                "bigdawg_migrations_total",
-                &[("kind", "replicate")],
-            ))
+            .counter(&labeled("bigdawg_migrations_total", &[("kind", label)]))
             .inc();
+
+        // 3. cleanup (moves only): drop the source copy. The move is
+        // already committed, so a refusing source engine must not surface
+        // as a failed migration; its undropped copy is left as an
+        // *unreferenced* orphan — never registered as a replica, because a
+        // write racing the commit window may have landed on (and been
+        // refused from) exactly that copy, so its contents can no longer
+        // be trusted to match the new primary. The orphan is recorded so
+        // `refresh_catalog` never resurrects it and reaps it once the
+        // engine allows the drop.
+        if how == Placement::Move {
+            self.drop_or_orphan(&entry.engine, object);
+        }
         Ok(report)
     }
 
@@ -1311,18 +1154,16 @@ impl BigDawg {
         self.monitor.lock().reset_ships(object);
     }
 
-    /// Move `object`'s primary to `to_engine` over the monitor's preferred
+    /// Move `object`'s primary to `to_engine` over the columnar binary
     /// transport — the manual migration entry point.
     pub fn migrate(&self, object: &str, to_engine: &str) -> Result<CastReport> {
-        let transport = self.preferred_transport();
-        self.migrate_object(object, to_engine, transport)
+        self.migrate_object(object, to_engine, Transport::Binary)
     }
 
-    /// Replicate `object` onto `to_engine` over the monitor's preferred
+    /// Replicate `object` onto `to_engine` over the columnar binary
     /// transport — the manual replication entry point.
     pub fn replicate(&self, object: &str, to_engine: &str) -> Result<CastReport> {
-        let transport = self.preferred_transport();
-        self.replicate_object(object, to_engine, transport)
+        self.replicate_object(object, to_engine, Transport::Binary)
     }
 
     /// Enable (`Some(policy)`) or disable (`None`) automatic monitor-driven
@@ -1761,12 +1602,6 @@ impl BigDawg {
     pub fn monitor(&self) -> &Mutex<Monitor> {
         &self.monitor
     }
-
-    /// The CAST transport the monitor's cost model currently prefers
-    /// (binary until measured history says otherwise).
-    pub fn preferred_transport(&self) -> Transport {
-        self.monitor.lock().preferred_transport()
-    }
 }
 
 /// The query class replica reads are booked under on the latency board.
@@ -1865,6 +1700,66 @@ mod tests {
             .unwrap();
         assert_eq!(b.len(), 4);
         assert_eq!(b.schema().names(), vec!["i", "v"]);
+    }
+
+    /// Every data-plane shim call books through `engine_call`: one op
+    /// counted whatever the outcome, a failure counted (and the breaker
+    /// fed) only when the error is transient, a success closing the
+    /// breaker, and every other error neutral.
+    #[test]
+    fn engine_call_counts_ops_and_feeds_the_breaker() {
+        let bd = federation();
+        let value = |family: &str, op: &str| {
+            bd.metrics()
+                .counter_value(&labeled(family, &[("engine", "postgres"), ("op", op)]))
+        };
+        for op in ["read", "write", "native"] {
+            // (outcome, failure-counter delta, breaker streak afterwards)
+            for (outcome, failed, streak) in [
+                ("ok", 0, 0),
+                ("transient", 1, 2),
+                ("not_found", 0, 1),
+                ("non_transient", 0, 1),
+            ] {
+                // start from a streak of one, so an outcome that leaves the
+                // breaker alone reads differently from one that closes it
+                bd.breakers().record_success("postgres");
+                bd.breakers().record_failure("postgres");
+                let ops = value("bigdawg_engine_ops_total", op);
+                let failures = value("bigdawg_engine_op_failures_total", op);
+                let result = bd.engine_call("postgres", op, "test.call", |_| match outcome {
+                    "ok" => Ok(()),
+                    "transient" => Err(BigDawgError::Execution("flaky".into())),
+                    "not_found" => Err(BigDawgError::NotFound("gone".into())),
+                    _ => Err(BigDawgError::Unsupported("no".into())),
+                });
+                assert_eq!(result.is_ok(), outcome == "ok", "{op}/{outcome}");
+                assert_eq!(
+                    value("bigdawg_engine_ops_total", op) - ops,
+                    1,
+                    "{op}/{outcome}"
+                );
+                assert_eq!(
+                    value("bigdawg_engine_op_failures_total", op) - failures,
+                    failed,
+                    "{op}/{outcome}"
+                );
+                assert_eq!(
+                    bd.engine_health("postgres").consecutive_failures,
+                    streak,
+                    "{op}/{outcome}"
+                );
+            }
+        }
+        // an unknown engine fails before anything is counted
+        assert!(bd
+            .engine_call("nowhere", "read", "test.call", |_| Ok(()))
+            .is_err());
+        assert_eq!(
+            bd.metrics()
+                .counter_family_total("bigdawg_engine_ops_total"),
+            12
+        );
     }
 
     #[test]

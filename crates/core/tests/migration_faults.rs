@@ -5,7 +5,9 @@
 //! the failure to one step of the protocol.
 
 use bigdawg_array::Array;
+use bigdawg_common::deadline::{self, CancelCause, CancelToken, QueryContext};
 use bigdawg_common::{Batch, Result, Value};
+use bigdawg_core::cast::CastReport;
 use bigdawg_core::shims::{ArrayShim, FaultPlan, FaultShim, RelationalShim};
 use bigdawg_core::{BigDawg, Capability, EngineKind, MigrationPolicy, Migrator, Shim, Transport};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -70,6 +72,37 @@ impl Shim for PutHookShim {
     }
 }
 
+/// The two placements the migrator makes. Every abort case below runs
+/// over both: they share one copy-then-commit protocol and must fail the
+/// same way.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    Move,
+    Replica,
+}
+
+fn place(bd: &BigDawg, kind: Kind, object: &str, to_engine: &str) -> Result<CastReport> {
+    match kind {
+        Kind::Move => bd.migrate_object(object, to_engine, Transport::Binary),
+        Kind::Replica => bd.replicate_object(object, to_engine, Transport::Binary),
+    }
+}
+
+/// What an aborted placement must leave behind: the catalog still on the
+/// intact source, no copy on the target — and no orphan mark either, so a
+/// re-scan changes nothing.
+fn assert_aborted_cleanly(bd: &BigDawg, object: &str, source: &str, target: &str, case: &str) {
+    for pass in ["after the abort", "after a re-scan"] {
+        assert_eq!(bd.locate(object).unwrap(), source, "{case} {pass}");
+        assert!(!bd.located_on(object, target), "{case} {pass}");
+        assert!(
+            bd.engine(target).unwrap().lock().get_table(object).is_err(),
+            "{case} {pass}: the target holds no partial object"
+        );
+        bd.refresh_catalog();
+    }
+}
+
 /// postgres holds `patients`; scidb (the migration target) is wrapped in a
 /// FaultShim with the given plan.
 fn federation_with_faulty_target(plan: FaultPlan) -> BigDawg {
@@ -91,43 +124,45 @@ fn federation_with_faulty_target(plan: FaultPlan) -> BigDawg {
 
 #[test]
 fn migration_failing_mid_copy_leaves_catalog_on_intact_source() {
-    // the target's first fallible operation is the migration's put_table:
-    // the copy dies mid-flight
-    let bd = federation_with_faulty_target(FaultPlan::nth(1));
-    let epoch_before = bd.placement_epoch("patients").unwrap();
+    for kind in [Kind::Move, Kind::Replica] {
+        let case = format!("{kind:?}");
+        // the target's first fallible operation is the placement's
+        // put_table: the copy dies mid-flight
+        let bd = federation_with_faulty_target(FaultPlan::nth(1));
+        let epoch_before = bd.placement_epoch("patients").unwrap();
 
-    let err = bd
-        .migrate_object("patients", "scidb", Transport::Binary)
-        .unwrap_err();
-    assert_eq!(err.kind(), "execution");
-    assert!(err.to_string().contains("injected fault"));
+        let err = place(&bd, kind, "patients", "scidb").unwrap_err();
+        assert_eq!(err.kind(), "execution", "{case}");
+        assert!(err.to_string().contains("injected fault"), "{case}");
 
-    // no torn placement: the catalog still points at the intact source …
-    assert_eq!(bd.locate("patients").unwrap(), "postgres");
-    assert!(!bd.located_on("patients", "scidb"));
-    assert_eq!(
-        bd.placement_epoch("patients").unwrap(),
-        epoch_before,
-        "a failed copy commits nothing"
-    );
-    // … the source data is untouched …
-    let b = bd
-        .execute("RELATIONAL(SELECT COUNT(*) AS n FROM patients)")
-        .unwrap();
-    assert_eq!(b.rows()[0][0], Value::Int(3));
-    // … and the target holds no partial object
-    assert!(bd
-        .engine("scidb")
-        .unwrap()
-        .lock()
-        .get_table("patients")
-        .is_err());
+        // no torn placement: the catalog still points at the intact
+        // source and the target holds no partial object …
+        assert_aborted_cleanly(&bd, "patients", "postgres", "scidb", &case);
+        assert_eq!(
+            bd.placement_epoch("patients").unwrap(),
+            epoch_before,
+            "{case}: a failed copy commits nothing"
+        );
+        // … and the source data is untouched
+        let b = bd
+            .execute("RELATIONAL(SELECT COUNT(*) AS n FROM patients)")
+            .unwrap();
+        assert_eq!(b.rows()[0][0], Value::Int(3), "{case}");
 
-    // the fault was transient (nth(1) fires once): a retry succeeds
-    bd.migrate_object("patients", "scidb", Transport::Binary)
-        .unwrap();
-    assert_eq!(bd.locate("patients").unwrap(), "scidb");
-    assert!(bd.placement_epoch("patients").unwrap() > epoch_before);
+        // the fault was transient (nth(1) fires once): a retry succeeds
+        place(&bd, kind, "patients", "scidb").unwrap();
+        let primary = if kind == Kind::Move {
+            "scidb"
+        } else {
+            "postgres"
+        };
+        assert_eq!(bd.locate("patients").unwrap(), primary, "{case}");
+        assert!(bd.located_on("patients", "scidb"), "{case}");
+        assert!(
+            bd.placement_epoch("patients").unwrap() > epoch_before,
+            "{case}"
+        );
+    }
 }
 
 #[test]
@@ -255,42 +290,74 @@ fn epoch_guard_aborts_replication_when_a_write_lands_mid_copy() {
     assert!(bd.located_on("patients", "scidb"));
 }
 
-/// The same deterministic interleaving against a *move*: the epoch guard
-/// aborts the relocation and the source remains the intact primary.
+/// The same deterministic interleaving against a fresh target, over both
+/// placement kinds and both things that can land inside the copy window:
+/// a write invalidation (the commit's epoch guard aborts) and a
+/// cancellation (the pre-commit check aborts). Either way the source
+/// remains the intact primary and the landed copy is discarded.
 #[test]
 fn epoch_guard_aborts_migration_when_a_write_lands_mid_copy() {
-    let (entered_tx, entered_rx) = std::sync::mpsc::channel();
-    let (resume_tx, resume_rx) = std::sync::mpsc::channel();
-    let mut bd = BigDawg::new();
-    let mut scidb = ArrayShim::new("scidb");
-    scidb.store(
-        "wave",
-        Array::from_vector("wave", "v", &[1.0, 2.0, 3.0, 4.0], 2),
-    );
-    bd.add_engine(Box::new(scidb));
-    bd.add_engine(Box::new(PutHookShim::new(
-        Box::new(RelationalShim::new("postgres")),
-        entered_tx,
-        resume_rx,
-    )));
+    for kind in [Kind::Move, Kind::Replica] {
+        for cancel in [false, true] {
+            let case = format!("{kind:?}, cancel={cancel}");
+            let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+            let (resume_tx, resume_rx) = std::sync::mpsc::channel();
+            let mut bd = BigDawg::new();
+            let mut scidb = ArrayShim::new("scidb");
+            scidb.store(
+                "wave",
+                Array::from_vector("wave", "v", &[1.0, 2.0, 3.0, 4.0], 2),
+            );
+            bd.add_engine(Box::new(scidb));
+            bd.add_engine(Box::new(PutHookShim::new(
+                Box::new(RelationalShim::new("postgres")),
+                entered_tx,
+                resume_rx,
+            )));
+            let epoch_before = bd.placement_epoch("wave").unwrap();
+            let token = CancelToken::new();
 
-    std::thread::scope(|s| {
-        let bd = &bd;
-        let migration = s.spawn(move || bd.migrate_object("wave", "postgres", Transport::Binary));
-        entered_rx.recv().expect("migration reaches put_table");
-        bd.catalog().write().invalidate("wave");
-        resume_tx.send(()).expect("resume the copy");
-        let err = migration.join().expect("no panic").unwrap_err();
-        assert!(
-            err.to_string().contains("changed during migration"),
-            "unexpected error: {err}"
-        );
-    });
-    // no torn placement: the source is still the primary and intact
-    assert_eq!(bd.locate("wave").unwrap(), "scidb");
-    assert!(!bd.located_on("wave", "postgres"));
-    let b = bd.execute("ARRAY(aggregate(wave, count, v))").unwrap();
-    assert_eq!(b.rows()[0][0], Value::Float(4.0));
+            std::thread::scope(|s| {
+                let bd = &bd;
+                let ctx = QueryContext::with_token(token.clone(), None);
+                let placement = s.spawn(move || {
+                    let _query = deadline::enter(ctx);
+                    place(bd, kind, "wave", "postgres")
+                });
+                entered_rx.recv().expect("placement reaches put_table");
+                if cancel {
+                    token.cancel(CancelCause::User);
+                } else {
+                    bd.catalog().write().invalidate("wave");
+                }
+                resume_tx.send(()).expect("resume the copy");
+                let err = placement.join().expect("no panic").unwrap_err();
+                if cancel {
+                    assert_eq!(err.kind(), "cancelled", "{case}: {err}");
+                } else {
+                    let noun = if kind == Kind::Move {
+                        "migration"
+                    } else {
+                        "replication"
+                    };
+                    assert!(
+                        err.to_string().contains(&format!("changed during {noun}")),
+                        "{case}: unexpected error: {err}"
+                    );
+                }
+            });
+            // no torn placement: the source is still the primary and
+            // intact, and nothing but the write itself moved the epoch
+            assert_aborted_cleanly(&bd, "wave", "scidb", "postgres", &case);
+            assert_eq!(
+                bd.placement_epoch("wave").unwrap() == epoch_before,
+                cancel,
+                "{case}"
+            );
+            let b = bd.execute("ARRAY(aggregate(wave, count, v))").unwrap();
+            assert_eq!(b.rows()[0][0], Value::Float(4.0), "{case}");
+        }
+    }
 }
 
 #[test]

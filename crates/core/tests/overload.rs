@@ -11,6 +11,7 @@ use bigdawg_array::Array;
 use bigdawg_common::deadline::{self, CancelCause, CancelToken, QueryContext};
 use bigdawg_common::metrics::labeled;
 use bigdawg_common::{BigDawgError, ManualClock, Value};
+use bigdawg_core::cast::CastReport;
 use bigdawg_core::monitor::QueryClass;
 use bigdawg_core::shims::{ArrayShim, LatencyShim, RelationalShim};
 use bigdawg_core::{AdmissionConfig, BigDawg, RetryPolicy, Transport};
@@ -179,43 +180,45 @@ fn mid_flight_cancel_wakes_the_wire_sleep() {
 
 #[test]
 fn cancelled_replication_leaves_placement_untouched() {
-    // a migration checked under an already-cancelled ambient context must
-    // abort before the commit point: no new copy, no epoch bump
-    let mut bd = federation(Duration::ZERO);
-    bd.add_engine(Box::new(ArrayShim::new("spare")));
-    let epoch_before = bd.placement_epoch("wave").unwrap();
+    // a placement (replica or move — one protocol) checked under an
+    // already-cancelled ambient context must abort before the commit
+    // point: no new copy, no epoch bump
+    type Place = fn(&BigDawg, &str, &str, Transport) -> bigdawg_common::Result<CastReport>;
+    for place in [BigDawg::replicate_object as Place, BigDawg::migrate_object] {
+        let mut bd = federation(Duration::ZERO);
+        bd.add_engine(Box::new(ArrayShim::new("spare")));
+        let epoch_before = bd.placement_epoch("wave").unwrap();
 
-    let token = CancelToken::new();
-    token.cancel(CancelCause::User);
-    let ctx = QueryContext::with_token(Arc::clone(&token), None);
-    let err = {
-        let _g = deadline::enter(ctx);
-        bd.replicate_object("wave", "spare", Transport::Binary)
-            .unwrap_err()
-    };
-    assert_eq!(err.kind(), "cancelled");
-    assert_eq!(bd.placement_epoch("wave").unwrap(), epoch_before);
-    let placement: Vec<String> = bd
-        .placement("wave")
-        .unwrap()
-        .locations()
-        .map(str::to_string)
-        .collect();
-    assert_eq!(placement, vec!["scidb".to_string()], "no half-copy placed");
-    assert!(
-        !bd.engine("spare")
+        let token = CancelToken::new();
+        token.cancel(CancelCause::User);
+        let ctx = QueryContext::with_token(Arc::clone(&token), None);
+        let err = {
+            let _g = deadline::enter(ctx);
+            place(&bd, "wave", "spare", Transport::Binary).unwrap_err()
+        };
+        assert_eq!(err.kind(), "cancelled");
+        assert_eq!(bd.placement_epoch("wave").unwrap(), epoch_before);
+        let placement: Vec<String> = bd
+            .placement("wave")
             .unwrap()
-            .lock()
-            .object_names()
-            .iter()
-            .any(|n| n == "wave"),
-        "the target engine holds no orphaned copy"
-    );
+            .locations()
+            .map(str::to_string)
+            .collect();
+        assert_eq!(placement, vec!["scidb".to_string()], "no half-copy placed");
+        assert!(
+            !bd.engine("spare")
+                .unwrap()
+                .lock()
+                .object_names()
+                .iter()
+                .any(|n| n == "wave"),
+            "the target engine holds no orphaned copy"
+        );
 
-    // with the context gone the same replication succeeds
-    bd.replicate_object("wave", "spare", Transport::Binary)
-        .unwrap();
-    assert!(bd.placement_epoch("wave").unwrap() > epoch_before);
+        // with the context gone the same placement succeeds
+        place(&bd, "wave", "spare", Transport::Binary).unwrap();
+        assert!(bd.placement_epoch("wave").unwrap() > epoch_before);
+    }
 }
 
 // ---- admission control -----------------------------------------------------

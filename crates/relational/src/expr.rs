@@ -193,6 +193,68 @@ impl Expr {
         Expr::binary(BinOp::And, left, right)
     }
 
+    /// Rebuild the expression with every column reference passed through
+    /// `f`; the first error aborts the rewrite.
+    pub fn map_columns(self, f: &mut impl FnMut(String) -> Result<String>) -> Result<Expr> {
+        Ok(match self {
+            Expr::Column(c) => Expr::Column(f(c)?),
+            Expr::Literal(v) => Expr::Literal(v),
+            Expr::Aggregate {
+                func,
+                arg,
+                distinct,
+            } => Expr::Aggregate {
+                func,
+                arg: match arg {
+                    Some(a) => Some(Box::new(a.map_columns(f)?)),
+                    None => None,
+                },
+                distinct,
+            },
+            Expr::Binary { op, left, right } => Expr::Binary {
+                op,
+                left: Box::new(left.map_columns(f)?),
+                right: Box::new(right.map_columns(f)?),
+            },
+            Expr::Not(e) => Expr::Not(Box::new(e.map_columns(f)?)),
+            Expr::Neg(e) => Expr::Neg(Box::new(e.map_columns(f)?)),
+            Expr::IsNull { expr, negated } => Expr::IsNull {
+                expr: Box::new(expr.map_columns(f)?),
+                negated,
+            },
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => Expr::InList {
+                expr: Box::new(expr.map_columns(f)?),
+                list: list
+                    .into_iter()
+                    .map(|e| e.map_columns(f))
+                    .collect::<Result<_>>()?,
+                negated,
+            },
+            Expr::Between {
+                expr,
+                low,
+                high,
+                negated,
+            } => Expr::Between {
+                expr: Box::new(expr.map_columns(f)?),
+                low: Box::new(low.map_columns(f)?),
+                high: Box::new(high.map_columns(f)?),
+                negated,
+            },
+            Expr::Call { func, args } => Expr::Call {
+                func,
+                args: args
+                    .into_iter()
+                    .map(|e| e.map_columns(f))
+                    .collect::<Result<_>>()?,
+            },
+        })
+    }
+
     /// Evaluate against a row described by `schema`.
     pub fn eval(&self, schema: &Schema, row: &Row) -> Result<Value> {
         match self {

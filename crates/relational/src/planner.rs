@@ -417,7 +417,7 @@ fn qualified_schema(schema: &Schema, qualifier: &Option<String>) -> Schema {
 /// node to the exact field name. Resolution tries, in order: exact match;
 /// bare suffix of a qualified reference; unique `*.name` suffix match.
 pub fn resolve_expr(expr: Expr, schema: &Schema) -> Result<Expr> {
-    map_columns(expr, &mut |name| resolve_column(schema, &name))
+    expr.map_columns(&mut |name| resolve_column(schema, &name))
 }
 
 fn resolve_column(schema: &Schema, name: &str) -> Result<String> {
@@ -445,66 +445,6 @@ fn resolve_column(schema: &Schema, name: &str) -> Result<String> {
             "ambiguous column `{name}` (candidates: {matches:?})"
         ))),
     }
-}
-
-fn map_columns(expr: Expr, f: &mut impl FnMut(String) -> Result<String>) -> Result<Expr> {
-    Ok(match expr {
-        Expr::Column(c) => Expr::Column(f(c)?),
-        Expr::Literal(v) => Expr::Literal(v),
-        Expr::Aggregate {
-            func,
-            arg,
-            distinct,
-        } => Expr::Aggregate {
-            func,
-            arg: match arg {
-                Some(a) => Some(Box::new(map_columns(*a, f)?)),
-                None => None,
-            },
-            distinct,
-        },
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op,
-            left: Box::new(map_columns(*left, f)?),
-            right: Box::new(map_columns(*right, f)?),
-        },
-        Expr::Not(e) => Expr::Not(Box::new(map_columns(*e, f)?)),
-        Expr::Neg(e) => Expr::Neg(Box::new(map_columns(*e, f)?)),
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(map_columns(*expr, f)?),
-            negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(map_columns(*expr, f)?),
-            list: list
-                .into_iter()
-                .map(|e| map_columns(e, f))
-                .collect::<Result<_>>()?,
-            negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(map_columns(*expr, f)?),
-            low: Box::new(map_columns(*low, f)?),
-            high: Box::new(map_columns(*high, f)?),
-            negated,
-        },
-        Expr::Call { func, args } => Expr::Call {
-            func,
-            args: args
-                .into_iter()
-                .map(|e| map_columns(e, f))
-                .collect::<Result<_>>()?,
-        },
-    })
 }
 
 fn visit_aggregates(expr: &Expr, f: &mut impl FnMut(crate::expr::AggFunc, Option<&Expr>, bool)) {
