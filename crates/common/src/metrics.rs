@@ -7,9 +7,10 @@
 //! `bigdawg_engine_ops_total{engine="postgres",op="read"}` — and
 //! [`MetricsRegistry::render_prometheus`] produces a text-format dump.
 //!
-//! [`Histogram`] reuses the monitor's shape: 40 log2 buckets over
-//! microseconds, clamped so every observation lands in exactly one bucket
-//! (bucket totals always equal the observation count).
+//! [`Histogram`] is the one latency distribution of the code base — the
+//! registry's samples and the monitor's cost model both hold it: 40 log2
+//! buckets over microseconds, clamped so every observation lands in exactly
+//! one bucket (bucket totals always equal the observation count).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -17,8 +18,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
-/// Number of log2 latency buckets — the same shape as the monitor's
-/// per-engine histograms, covering ~1µs to ~2^39µs (≈6 days).
+/// Number of log2 latency buckets, covering ~1µs to ~2^39µs (≈6 days).
 pub const HISTOGRAM_BUCKETS: usize = 40;
 
 /// A monotonically increasing counter.
@@ -67,13 +67,14 @@ impl Gauge {
 /// microseconds.
 ///
 /// An observation of `d` lands in bucket `floor(log2(max(µs, 1)))`, clamped
-/// to the last bucket — the same bucketing as the monitor's cost-model
-/// histograms, so the two views of a latency agree.
+/// to the last bucket. The sum is kept in nanoseconds: the monitor's cost
+/// model ranks engines by mean latency, and sub-microsecond shim calls
+/// must not all read as zero.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     count: AtomicU64,
-    sum_micros: AtomicU64,
+    sum_nanos: AtomicU64,
 }
 
 impl Default for Histogram {
@@ -88,22 +89,26 @@ impl Histogram {
         Self {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
-            sum_micros: AtomicU64::new(0),
+            sum_nanos: AtomicU64::new(0),
         }
     }
 
     /// Record one observation.
     pub fn record(&self, d: Duration) {
-        self.record_micros(d.as_micros().min(u128::from(u64::MAX)) as u64);
+        let nanos = d.as_nanos().min(u128::from(u64::MAX)) as u64;
+        self.observe(nanos / 1_000, nanos);
     }
 
     /// Record one observation given directly in microseconds.
     pub fn record_micros(&self, micros: u64) {
-        let m = micros.max(1);
-        let idx = (m.ilog2() as usize).min(HISTOGRAM_BUCKETS - 1);
+        self.observe(micros, micros.saturating_mul(1_000));
+    }
+
+    fn observe(&self, micros: u64, nanos: u64) {
+        let idx = (micros.max(1).ilog2() as usize).min(HISTOGRAM_BUCKETS - 1);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_micros.fetch_add(micros, Ordering::Relaxed);
+        self.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
     /// Total observations.
@@ -113,7 +118,7 @@ impl Histogram {
 
     /// Sum of all observations.
     pub fn sum(&self) -> Duration {
-        Duration::from_micros(self.sum_micros.load(Ordering::Relaxed))
+        Duration::from_nanos(self.sum_nanos.load(Ordering::Relaxed))
     }
 
     /// Mean observation (zero when empty).
@@ -122,7 +127,22 @@ impl Histogram {
         if n == 0 {
             return Duration::ZERO;
         }
-        Duration::from_micros(self.sum_micros.load(Ordering::Relaxed) / n)
+        Duration::from_nanos(self.sum_nanos.load(Ordering::Relaxed) / n)
+    }
+
+    /// Approximate quantile (`0.0..=1.0`): the upper bound of the bucket
+    /// holding the q-th sample, so `quantile(0.99)` is a p99 estimate
+    /// within the 2× bucket width. `None` when empty.
+    pub fn quantile(&self, q: f64) -> Option<Duration> {
+        let rank = ((q.clamp(0.0, 1.0) * self.count() as f64).ceil() as u64).max(1);
+        let mut seen = 0;
+        for (i, n) in self.bucket_counts().iter().enumerate() {
+            seen += n;
+            if seen >= rank {
+                return Some(Duration::from_micros(1 << (i + 1)));
+            }
+        }
+        None
     }
 
     /// Per-bucket counts (bucket `i` covers `[2^i, 2^(i+1))` µs; the last

@@ -5,13 +5,11 @@
 //! transport) first, and the monitor's cost model arbitrates when several
 //! array engines could evaluate the query.
 
-use crate::cast::Transport;
 use crate::monitor::QueryClass;
 use crate::polystore::BigDawg;
 use crate::shim::EngineKind;
 use crate::shims::{afl, ArrayShim};
 use bigdawg_common::{Batch, BigDawgError, Result};
-use std::time::Instant;
 
 /// AFL operator names — identifiers that are never treated as objects.
 const AFL_KEYWORDS: &[&str] = &[
@@ -45,86 +43,35 @@ const AFL_KEYWORDS: &[&str] = &[
     "false",
 ];
 
-/// Execute an AFL query on the array island. Objects living on other
-/// engines are CAST toward the array engine first (location transparency).
-///
-/// Like the relational island, a *racy* `not_found` outcome is retried
-/// with placements re-resolved: a co-located copy may be invalidated by a
-/// concurrent write between resolve and read, and the retry reads the
-/// current placement instead of failing the query. Attempts that never
-/// depended on a placement (e.g. an unknown identifier) fail immediately.
+/// Execute an AFL query on the array island, under the frame it shares
+/// with the relational island (`islands::gather`): objects living on other
+/// engines are CAST toward the array engine first (location transparency),
+/// and a racy `not_found` re-resolves and retries while an attempt that
+/// never depended on a placement (an unknown identifier) fails immediately.
 pub fn execute(bd: &BigDawg, query: &str) -> Result<Batch> {
-    super::retry_island_attempts(bd, |raced| execute_once(bd, query, raced))
-}
-
-fn execute_once(bd: &BigDawg, query: &str, placement_raced: &mut bool) -> Result<Batch> {
-    let class = classify(query);
-    let engine = bd.choose_engine_of_kind(EngineKind::Array, class)?;
-    let mut rewritten = query.to_string();
-    let mut temps: Vec<String> = Vec::new();
-    // true when some object resolved to a co-located copy read in place —
-    // a later not_found may then be an invalidation race, not a bad name
-    let mut read_in_place = false;
-    for ident in identifiers(query) {
-        if AFL_KEYWORDS.contains(&ident.to_ascii_lowercase().as_str()) {
-            continue;
-        }
-        let Ok(entry) = bd.placement(&ident) else {
-            continue; // attribute/dimension names are resolved by AFL itself
-        };
-        // a co-located copy (primary or migrator-placed replica) is read
-        // in place; only genuinely remote objects ship — zero-copy when no
-        // wire is crossed (the cast degrades it to the columnar codec
-        // otherwise)
-        if entry.located_on(&engine) {
-            read_in_place = true;
-        } else {
-            let tmp = bd.temp_name();
-            if let Err(e) = bd.cast_object(&ident, &engine, &tmp, Transport::ZeroCopy) {
-                // a failing cast of a *resolved* object is racy; clean
-                // temps cast so far so a retried attempt leaks nothing
-                if matches!(e, BigDawgError::NotFound(_)) {
-                    *placement_raced = true;
-                }
-                for tmp in &temps {
-                    let _ = bd.drop_object(tmp);
-                }
-                return Err(e);
+    super::gather(bd, EngineKind::Array, classify(query), |gather| {
+        let mut rewritten = query.to_string();
+        // the first object the query names is the one the monitor records
+        let mut first_object = None;
+        for ident in identifiers(query) {
+            if AFL_KEYWORDS.contains(&ident.to_ascii_lowercase().as_str()) {
+                continue;
             }
-            rewritten = replace_ident(&rewritten, &ident, &tmp);
-            temps.push(tmp);
+            let Ok(entry) = bd.placement(&ident) else {
+                continue; // attribute/dimension names are resolved by AFL itself
+            };
+            if let Some(tmp) = gather.localize(&ident, &entry)? {
+                rewritten = replace_ident(&rewritten, &ident, &tmp);
+            }
+            first_object.get_or_insert(ident);
         }
-    }
-
-    let started = Instant::now();
-    let result = {
-        let _island_span = bd.tracer().span("island.execute", &engine);
-        let shim = bd.engine(&engine)?.lock();
-        let arr = shim.as_any().downcast_ref::<ArrayShim>().ok_or_else(|| {
-            BigDawgError::Internal(format!("engine `{engine}` is not an ArrayShim"))
-        })?;
-        afl::execute(arr, &rewritten)
-    };
-    if read_in_place && matches!(result, Err(BigDawgError::NotFound(_))) {
-        *placement_raced = true;
-    }
-    if result.is_ok() {
-        bd.breakers().record_success(&engine);
-        // failed attempts must not feed the cost model: a fast NotFound
-        // would otherwise make a flaky engine look cheap
-        if let Some(first) = identifiers(query)
-            .into_iter()
-            .find(|i| bd.locate(i).is_ok())
-        {
-            bd.monitor()
-                .lock()
-                .record(&first, class, &engine, started.elapsed());
-        }
-    }
-    for tmp in temps {
-        let _ = bd.drop_object(&tmp);
-    }
-    result
+        gather.run(first_object.as_deref(), |engine, shim| {
+            let arr = shim.as_any().downcast_ref::<ArrayShim>().ok_or_else(|| {
+                BigDawgError::Internal(format!("engine `{engine}` is not an ArrayShim"))
+            })?;
+            afl::execute(arr, &rewritten)
+        })
+    })
 }
 
 fn classify(query: &str) -> QueryClass {

@@ -24,8 +24,7 @@
 
 use crate::monitor::QueryClass;
 use crate::polystore::BigDawg;
-use crate::shim::Shim;
-use crate::shims::KvShim;
+use crate::shim::EngineKind;
 use bigdawg_common::{parse_err, Batch, BigDawgError, DataType, Result, Row, Schema, Value};
 use bigdawg_d4m::algebra::{self, Semiring};
 use bigdawg_d4m::AssocArray;
@@ -170,17 +169,17 @@ fn eval(bd: &BigDawg, text: &str) -> Result<AssocArray> {
     Err(parse_err!("unrecognized D4M expression: `{t}`"))
 }
 
-/// Load a federation object as an associative array (the D4M shims).
+/// Load a federation object as an associative array (the D4M shims),
+/// reading whichever copy the federation's read path serves.
 fn load_object(bd: &BigDawg, object: &str) -> Result<AssocArray> {
-    let engine = bd.locate(object)?;
-    let shim = bd.engine(&engine)?.lock();
-    // Corpus shim: build doc×term counts from the text index.
-    if let Some(kv) = shim.as_any().downcast_ref::<KvShim>() {
+    let on_kv = bd.kind_of(&bd.locate(object)?)? == EngineKind::KeyValue;
+    let batch = bd.read_object(object)?;
+    // Corpus shim: build doc×term counts from the text index's documents.
+    if on_kv {
         let mut a = AssocArray::new();
-        let docs = kv.get_table(object)?;
-        let body_col = docs.schema().index_of("body")?;
-        let id_col = docs.schema().index_of("doc_id")?;
-        for row in docs.rows() {
+        let body_col = batch.schema().index_of("body")?;
+        let id_col = batch.schema().index_of("doc_id")?;
+        for row in batch.rows() {
             let id = row[id_col].as_i64()?;
             let body = row[body_col].as_str()?;
             for term in bigdawg_kv::text::tokenize(body) {
@@ -193,8 +192,6 @@ fn load_object(bd: &BigDawg, object: &str) -> Result<AssocArray> {
     }
     // Generic tabular shims: first two columns are keys, third (if any) the
     // value.
-    let batch = shim.get_table(object)?;
-    drop(shim);
     let schema = batch.schema();
     if schema.len() < 2 {
         return Err(BigDawgError::SchemaMismatch(format!(

@@ -21,42 +21,48 @@
 
 use crate::monitor::QueryClass;
 use crate::polystore::BigDawg;
-use bigdawg_common::{parse_err, Batch, BigDawgError, Result};
+use bigdawg_common::{parse_err, Batch, Result};
 use bigdawg_myria::exec::TableProvider;
 use bigdawg_myria::{execute as myria_execute, optimize, RaPlan};
 use bigdawg_relational::expr::AggFunc;
 use bigdawg_relational::sql::parser::parse_expr;
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::time::Instant;
 
-/// A Myria table provider backed by the whole federation.
+/// A Myria table provider backed by the whole federation. Each object is
+/// exported once per pipeline: the optimizer's row estimate and the scan
+/// (and every re-scan of an iteration) answer from the same `Arc`-shared
+/// batch.
 struct PolystoreProvider<'a> {
     bd: &'a BigDawg,
+    scanned: RefCell<HashMap<String, Batch>>,
 }
 
 impl TableProvider for PolystoreProvider<'_> {
     fn scan_table(&self, name: &str) -> Result<Batch> {
-        let engine = self.bd.locate(name)?;
-        self.bd.engine(&engine)?.lock().get_table(name)
+        if let Some(batch) = self.scanned.borrow().get(name) {
+            return Ok(batch.clone());
+        }
+        let batch = self.bd.read_object(name)?;
+        self.scanned
+            .borrow_mut()
+            .insert(name.to_string(), batch.clone());
+        Ok(batch)
     }
 
     fn estimated_rows(&self, name: &str) -> Option<usize> {
-        let engine = self.bd.locate(name).ok()?;
-        // Estimate by a full export; acceptable at bench scale (a real
-        // deployment would keep statistics in the catalog).
-        self.bd
-            .engine(&engine)
-            .ok()?
-            .lock()
-            .get_table(name)
-            .ok()
-            .map(|b| b.len())
+        self.scan_table(name).ok().map(|b| b.len())
     }
 }
 
 /// Execute a Myria pipeline query.
 pub fn execute(bd: &BigDawg, query: &str) -> Result<Batch> {
     let plan = parse_pipeline(query)?;
-    let provider = PolystoreProvider { bd };
+    let provider = PolystoreProvider {
+        bd,
+        scanned: RefCell::default(),
+    };
     let plan = optimize(&provider, plan);
     let started = Instant::now();
     let result = myria_execute(&provider, &plan);
@@ -238,9 +244,6 @@ fn call_args(text: &str, op: &str) -> Option<String> {
     }
     (depth == 0).then(|| rest.to_string())
 }
-
-#[allow(dead_code)]
-fn unused(_: &BigDawgError) {}
 
 #[cfg(test)]
 mod tests {

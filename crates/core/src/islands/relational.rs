@@ -15,7 +15,6 @@
 //! ([`BigDawg::note_write`]), so a migrated-then-written object never
 //! serves stale replica data.
 
-use crate::cast::Transport;
 use crate::monitor::QueryClass;
 use crate::polystore::BigDawg;
 use crate::shim::EngineKind;
@@ -24,83 +23,48 @@ use bigdawg_common::{Batch, BigDawgError, Result};
 use bigdawg_relational::db::QueryResult;
 use bigdawg_relational::sql::ast::Statement;
 use bigdawg_relational::sql::parse;
-use std::time::Instant;
 
-/// Execute a SQL query on the relational island.
-///
-/// A *racy* `not_found` outcome is retried a bounded number of times with
-/// placements re-resolved: between resolving a co-located copy and reading
-/// it, a concurrent write invalidation (or migration) may have dropped
-/// that copy, and the retry simply resolves the current placement instead
-/// of failing the query. Only attempts whose failure can stem from a
-/// placement race retry (a co-located read, a cast of a resolved object, a
-/// write to a cataloged table); a genuinely unknown table fails on the
-/// first attempt without re-shipping anything. Failed attempts mutate
-/// nothing (a write that cannot resolve its table executes nothing), so
-/// retrying is safe.
+/// Execute a SQL query on the relational island, under the shared
+/// localize → run → cleanup frame (`islands::gather`): remote tables are
+/// cast toward the gather engine, a racy `not_found` (a co-located read,
+/// a cast of a resolved object, a write to a cataloged table) re-resolves
+/// and retries, and a genuinely unknown table fails on the first attempt
+/// without shipping anything.
 pub fn execute(bd: &BigDawg, sql: &str) -> Result<Batch> {
-    super::retry_island_attempts(bd, |raced| execute_once(bd, sql, raced))
-}
-
-/// One attempt. Sets `placement_raced` when a `not_found` failure may be
-/// explained by a placement changing between resolve and read — the
-/// caller's signal to re-resolve and retry.
-fn execute_once(bd: &BigDawg, sql: &str, placement_raced: &mut bool) -> Result<Batch> {
-    let mut stmt = parse(sql)?;
+    let stmt = parse(sql)?;
     let class = match &stmt {
         Statement::Select(sel) if sel.is_aggregate() => QueryClass::Aggregate,
         Statement::Select(sel) if !sel.joins.is_empty() => QueryClass::Join,
         _ => QueryClass::SqlFilter,
     };
-    let mut engine = bd.choose_engine_of_kind(EngineKind::Relational, class)?;
-    let mut temps: Vec<String> = Vec::new();
+    // the first attempt consumes (and rewrites) the statement; a retry
+    // parses a fresh one
+    let mut parsed = Some(stmt);
+    super::gather(bd, EngineKind::Relational, class, |gather| {
+        let stmt = match parsed.take() {
+            Some(stmt) => stmt,
+            None => parse(sql)?,
+        };
+        execute_once(bd, gather, stmt)
+    })
+}
 
-    // Collect referenced tables (SELECT only; DML runs against its table's
-    // primary engine).
+/// One attempt: rewrite the SELECT's table references to local names (or
+/// route the write to its table's primary), then run the statement.
+fn execute_once(
+    bd: &BigDawg,
+    gather: &mut super::Gather<'_>,
+    mut stmt: Statement,
+) -> Result<Batch> {
     let mut written: Option<String> = None;
-    // true when some table resolved to a co-located copy read in place, or
-    // a write routed through the catalog — the cases where a later
-    // not_found can be a placement race rather than an unknown name
-    let mut placement_dependent = false;
     match &mut stmt {
         Statement::Select(sel) => {
-            let mut refs: Vec<&mut String> = Vec::new();
-            if let Some(from) = sel.from.as_mut() {
-                refs.push(&mut from.table);
-            }
-            for j in &mut sel.joins {
-                refs.push(&mut j.table.table);
-            }
-            for table in refs {
-                // a co-located copy (primary *or* migrator-placed replica)
-                // is read in place; only genuinely remote tables ship —
-                // zero-copy when no wire is crossed (the cast degrades it
-                // to the columnar codec otherwise).
-                // A placement() miss is a genuinely unknown table — no
-                // retry; a failing cast of a *resolved* object is racy.
-                let outcome = bd.placement(table).and_then(|entry| {
-                    if entry.located_on(&engine) {
-                        placement_dependent = true;
-                    } else {
-                        let tmp = bd.temp_name();
-                        bd.cast_object(table, &engine, &tmp, Transport::ZeroCopy)
-                            .map_err(|e| {
-                                if matches!(e, BigDawgError::NotFound(_)) {
-                                    *placement_raced = true;
-                                }
-                                e
-                            })?;
-                        temps.push(tmp.clone());
-                        *table = tmp;
-                    }
-                    Ok(())
-                });
-                if let Err(e) = outcome {
-                    // clean temps cast so far: a retried attempt leaks nothing
-                    for tmp in &temps {
-                        let _ = bd.drop_object(tmp);
-                    }
-                    return Err(e);
+            let from = sel.from.iter_mut().map(|from| &mut from.table);
+            for table in from.chain(sel.joins.iter_mut().map(|j| &mut j.table.table)) {
+                // a placement() miss is a genuinely unknown table — no retry
+                let entry = bd.placement(table)?;
+                if let Some(tmp) = gather.localize(table, &entry)? {
+                    *table = tmp;
                 }
             }
         }
@@ -115,10 +79,7 @@ fn execute_once(bd: &BigDawg, sql: &str, placement_raced: &mut bool) -> Result<B
             // lost write), and the non-relational primary cannot take SQL
             // DML at all.
             if let Ok(entry) = bd.placement(table) {
-                if bd.kind_of(&entry.engine) == Ok(EngineKind::Relational) {
-                    engine = entry.engine;
-                    placement_dependent = true;
-                } else {
+                if bd.kind_of(&entry.engine) != Ok(EngineKind::Relational) {
                     return Err(BigDawgError::Unsupported(format!(
                         "write to `{table}`: its primary copy lives on \
                          non-relational engine `{}`; migrate it to a \
@@ -126,24 +87,23 @@ fn execute_once(bd: &BigDawg, sql: &str, placement_raced: &mut bool) -> Result<B
                         entry.engine
                     )));
                 }
+                gather.route_to(entry.engine);
             }
             written = Some(table.clone());
         }
         _ => {}
     }
+    // the monitor sees the name the statement runs against (a remote FROM
+    // is recorded under its temporary)
     let object = match &stmt {
         Statement::Select(sel) => sel.from.as_ref().map(|f| f.table.clone()),
-        Statement::Insert { table, .. }
-        | Statement::Update { table, .. }
-        | Statement::Delete { table, .. } => Some(table.clone()),
-        _ => None,
+        _ => written.clone(),
     };
 
     // Engine copies the write made stale; dropped after the critical
     // section.
-    let stale = std::cell::RefCell::new(Vec::new());
-    let run_on = |engine: &str, stmt: Statement| -> Result<Batch> {
-        let mut shim = bd.engine(engine)?.lock();
+    let mut stale = Vec::new();
+    let result = gather.run(object.as_deref(), |engine, shim| {
         let rel = shim
             .as_any_mut()
             .downcast_mut::<RelationalShim>()
@@ -181,42 +141,16 @@ fn execute_once(bd: &BigDawg, sql: &str, placement_raced: &mut bool) -> Result<B
                     )));
                 }
             }
-            *stale.borrow_mut() = cat.invalidate(table);
+            stale = cat.invalidate(table);
         }
         Ok(out)
-    };
-
-    let started = Instant::now();
-    // a NotFound here after a placement-dependent resolve (a co-located
-    // read raced an invalidation, a routed write raced a move) aborts this
-    // attempt; [`execute`]'s outer retry re-resolves everything. Cleanup
-    // below runs either way, so a retried attempt leaks no temporaries.
-    let island_span = bd.tracer().span("island.execute", &engine);
-    let result = run_on(&engine, stmt);
-    drop(island_span);
-    if placement_dependent && matches!(result, Err(BigDawgError::NotFound(_))) {
-        *placement_raced = true;
-    }
-    if result.is_ok() {
-        bd.breakers().record_success(&engine);
-        if let Some(obj) = object {
-            // temp names map back to the original object for monitoring: use
-            // the first temp's source if the FROM was remote; recording the
-            // local name is fine for the monitor's purposes.
-            bd.monitor()
-                .lock()
-                .record(&obj, class, &engine, started.elapsed());
-        }
-        if let Some(table) = &written {
-            // cleanup half of write invalidation: drop the now-unreferenced
-            // stale copies and reset the table's demand counters
-            bd.drop_stale_copies(table, &stale.borrow());
-        }
+    });
+    if let (Ok(_), Some(table)) = (&result, &written) {
+        // cleanup half of write invalidation: drop the now-unreferenced
+        // stale copies and reset the table's demand counters
+        bd.drop_stale_copies(table, &stale);
     }
     bd.refresh_catalog();
-    for tmp in temps {
-        let _ = bd.drop_object(&tmp);
-    }
     result
 }
 

@@ -11,9 +11,13 @@ use std::time::Instant;
 pub fn execute(bd: &BigDawg, query: &str) -> Result<Batch> {
     let engine = bd.engine_of_kind(EngineKind::KeyValue)?;
     let started = Instant::now();
-    let result = bd.engine(&engine)?.lock().execute_native(query);
     // The corpus object is the engine's only object; record against it.
-    if let Some(obj) = bd.engine(&engine)?.lock().object_names().first().cloned() {
+    let mut corpus = None;
+    let result = bd.engine_call(&engine, "native", "island.execute", |shim| {
+        corpus = shim.object_names().into_iter().next();
+        shim.execute_native(query)
+    });
+    if let Some(obj) = corpus {
         bd.monitor()
             .lock()
             .record(&obj, QueryClass::TextSearch, &engine, started.elapsed());

@@ -145,7 +145,7 @@ impl Migrator {
             if entry.kind.is_pinned() || entry.located_on(&cand.target) {
                 continue;
             }
-            if bd.engine(&cand.target).is_err() {
+            if bd.kind_of(&cand.target).is_err() {
                 continue;
             }
             out.push(MigrationDecision {

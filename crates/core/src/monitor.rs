@@ -19,7 +19,7 @@
 //! executor's **cost model** (§2.2: the monitor "collects performance data
 //! about the execution of queries … and uses it to choose among equivalent
 //! plans"). Every recorded event feeds a per-(engine, class)
-//! [`LatencyHistogram`]; every CAST feeds per-transport [`TransportStats`]
+//! [`Histogram`]; every CAST feeds per-transport [`TransportStats`]
 //! (observability only — the transport itself is chosen structurally:
 //! zero-copy when no wire is crossed, the columnar codec otherwise).
 //! [`Monitor::cheapest_engine`] turns that history into the plan choice of
@@ -39,7 +39,7 @@
 use crate::cast::{CastReport, Transport};
 use crate::polystore::BigDawg;
 use crate::shim::EngineKind;
-use bigdawg_common::metrics::labeled;
+use bigdawg_common::metrics::{labeled, Histogram};
 use bigdawg_common::{BigDawgError, MetricsRegistry, Result, Tracer};
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
@@ -121,77 +121,6 @@ pub struct Recommendation {
     pub to_engine: String,
     /// The query class that dominated the recent window.
     pub dominant_class: QueryClass,
-}
-
-/// Number of power-of-two microsecond buckets a [`LatencyHistogram`] keeps.
-/// Bucket `i` covers `[2^i, 2^(i+1))` µs; 40 buckets span sub-µs to ~12 days.
-const HIST_BUCKETS: usize = 40;
-
-/// A log₂-bucketed latency histogram.
-///
-/// Bucket `i` counts samples in `[2^i, 2^(i+1))` microseconds, so the whole
-/// range from sub-microsecond shim calls to multi-second scans fits in a
-/// fixed 40-slot array with ~2× resolution — plenty for choosing between
-/// engines whose latencies differ by integer factors.
-#[derive(Debug, Clone)]
-pub struct LatencyHistogram {
-    buckets: [u64; HIST_BUCKETS],
-    count: u64,
-    sum: Duration,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            buckets: [0; HIST_BUCKETS],
-            count: 0,
-            sum: Duration::ZERO,
-        }
-    }
-}
-
-impl LatencyHistogram {
-    /// Add one sample.
-    pub fn record(&mut self, latency: Duration) {
-        let micros = latency.as_micros().max(1) as u64;
-        let bucket = (micros.ilog2() as usize).min(HIST_BUCKETS - 1);
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        self.sum += latency;
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Exact arithmetic mean over all samples, if any were recorded.
-    pub fn mean(&self) -> Option<Duration> {
-        if self.count == 0 {
-            return None;
-        }
-        Some(Duration::from_nanos(
-            (self.sum.as_nanos() / self.count as u128) as u64,
-        ))
-    }
-
-    /// Approximate quantile (`0.0..=1.0`): the upper bound of the bucket
-    /// holding the q-th sample. `quantile(0.5)` is a median estimate,
-    /// `quantile(0.99)` a p99 estimate, both within the 2× bucket width.
-    pub fn quantile(&self, q: f64) -> Option<Duration> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return Some(Duration::from_micros(1u64 << (i + 1).min(63)));
-            }
-        }
-        None
-    }
 }
 
 /// Accumulated CAST measurements for one [`Transport`].
@@ -541,7 +470,7 @@ const HEDGE_MIN_SAMPLES: u64 = 8;
 /// monitor → board.
 #[derive(Debug, Default)]
 pub struct LatencyBoard {
-    inner: parking_lot::Mutex<HashMap<(String, QueryClass), LatencyHistogram>>,
+    inner: parking_lot::Mutex<HashMap<(String, QueryClass), Histogram>>,
 }
 
 impl LatencyBoard {
@@ -559,7 +488,7 @@ impl LatencyBoard {
         self.inner
             .lock()
             .get(&(engine.to_string(), class))
-            .map_or(0, LatencyHistogram::count)
+            .map_or(0, Histogram::count)
     }
 
     /// The p99 read latency for `(engine, class)`, once at least
@@ -583,7 +512,7 @@ pub struct Monitor {
     events: VecDeque<Event>,
     window: usize,
     /// Cost model: full-history latency distribution per (engine, class).
-    engine_class: HashMap<(String, QueryClass), LatencyHistogram>,
+    engine_class: HashMap<(String, QueryClass), Histogram>,
     /// Cost model: accumulated CAST measurements per transport.
     transports: HashMap<Transport, TransportStats>,
     /// Migrator signal: per-object demand-ship counters.
@@ -764,7 +693,7 @@ impl Monitor {
     // ---- cost model ---------------------------------------------------------
 
     /// The latency histogram for one (engine, class) pair, if measured.
-    pub fn histogram(&self, engine: &str, class: QueryClass) -> Option<&LatencyHistogram> {
+    pub fn histogram(&self, engine: &str, class: QueryClass) -> Option<&Histogram> {
         self.engine_class.get(&(engine.to_string(), class))
     }
 
@@ -778,8 +707,8 @@ impl Monitor {
         let mut sum = Duration::ZERO;
         let mut count = 0u64;
         for h in self.engine_class.values() {
-            sum += h.sum;
-            count += h.count;
+            sum += h.sum();
+            count += h.count();
         }
         if count == 0 {
             return None;
@@ -792,8 +721,8 @@ impl Monitor {
     /// Estimated cost (mean measured latency) of running a `class` query on
     /// `engine`. `None` when no history exists — the cold-start case.
     pub fn engine_cost(&self, engine: &str, class: QueryClass) -> Option<Duration> {
-        self.histogram(engine, class)
-            .and_then(LatencyHistogram::mean)
+        // an entry exists only once a sample was recorded into it
+        self.histogram(engine, class).map(Histogram::mean)
     }
 
     /// Pick the cheapest engine for a `class` query among `candidates` by
@@ -919,7 +848,7 @@ pub struct ProbeResult {
 pub fn probe(bd: &BigDawg, object: &str, class: QueryClass) -> Result<Vec<ProbeResult>> {
     let home = bd.locate(object)?;
     // column names from the exported schema (CAST conventions keep them)
-    let batch = bd.engine(&home)?.lock().get_table(object)?;
+    let batch = bd.read_object(object)?;
     let names = batch.schema().names();
     if names.len() < 2 {
         return Err(BigDawgError::Execution(
@@ -1129,14 +1058,15 @@ mod tests {
 
     #[test]
     fn histogram_buckets_mean_and_quantiles() {
-        let mut h = LatencyHistogram::default();
-        assert_eq!(h.mean(), None);
+        // the one histogram type the cost model and the latency board hold
+        let h = Histogram::new();
+        assert_eq!(h.mean(), Duration::ZERO);
         assert_eq!(h.quantile(0.5), None);
         for micros in [10u64, 12, 14, 900] {
             h.record(Duration::from_micros(micros));
         }
         assert_eq!(h.count(), 4);
-        assert_eq!(h.mean(), Some(Duration::from_micros(234)));
+        assert_eq!(h.mean(), Duration::from_micros(234));
         // 3 of 4 samples land in the [8,16) µs bucket → median ≤ 16 µs
         assert_eq!(h.quantile(0.5), Some(Duration::from_micros(16)));
         // the p99 bucket holds the 900 µs outlier: (512,1024] upper bound

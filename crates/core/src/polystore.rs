@@ -45,9 +45,7 @@ const _: fn() = || {
 /// assert_eq!(rows.rows()[0][0], bigdawg_common::Value::Int(2));
 /// ```
 pub struct BigDawg {
-    /// Each engine's shim behind its mutex, with the (immutable) engine
-    /// kind beside it so kind lookups never take an engine lock.
-    engines: BTreeMap<String, (EngineKind, Mutex<Box<dyn Shim>>)>,
+    engines: BTreeMap<String, EngineSlot>,
     catalog: RwLock<Catalog>,
     monitor: Mutex<Monitor>,
     /// The monitor's circuit-breaker board, shared so data paths (and the
@@ -96,6 +94,15 @@ pub struct BigDawg {
     /// path the same way the breaker board is — hedging thresholds must
     /// not take the monitor lock.
     latency_board: Arc<LatencyBoard>,
+}
+
+/// One registered engine: the shim behind its mutex, with the shim's
+/// immutable metadata (sampled once at registration) beside it so kind and
+/// wire lookups never take an engine lock.
+struct EngineSlot {
+    kind: EngineKind,
+    wire: Duration,
+    shim: Mutex<Box<dyn Shim>>,
 }
 
 /// Panic-safe release of a [`BigDawg::begin_placement`] mark: placements
@@ -223,22 +230,27 @@ impl BigDawg {
     /// Register an engine. Objects it already holds are cataloged.
     pub fn add_engine(&mut self, shim: Box<dyn Shim>) {
         let name = shim.engine_name().to_string();
-        let kind = shim.kind();
+        let (kind, wire) = (shim.kind(), shim.wire_latency());
         {
             let mut cat = self.catalog.write();
             for obj in shim.object_names() {
                 cat.register(&obj, &name, default_kind(kind));
             }
         }
-        self.engines.insert(name, (kind, Mutex::new(shim)));
+        let shim = Mutex::new(shim);
+        self.engines.insert(name, EngineSlot { kind, wire, shim });
     }
 
-    /// The named engine's shim, behind its per-engine mutex.
+    /// The named engine's shim, behind its per-engine mutex — for tests
+    /// and the benchmark harness only. The federation's data plane reaches
+    /// an engine through `engine_call` (run a statement, write) or
+    /// `read_object` (read a copy), which carry the span, op counters,
+    /// breaker feedback and failover this raw handle skips.
     pub fn engine(&self, name: &str) -> Result<&Mutex<Box<dyn Shim>>> {
-        self.engine_entry(name).map(|(_, shim)| shim)
+        self.engine_entry(name).map(|slot| &slot.shim)
     }
 
-    fn engine_entry(&self, name: &str) -> Result<&(EngineKind, Mutex<Box<dyn Shim>>)> {
+    fn engine_entry(&self, name: &str) -> Result<&EngineSlot> {
         self.engines
             .get(name)
             .ok_or_else(|| BigDawgError::NotFound(format!("engine `{name}`")))
@@ -253,7 +265,7 @@ impl BigDawg {
     pub fn engine_of_kind(&self, kind: EngineKind) -> Result<String> {
         self.engines
             .iter()
-            .find(|(_, (k, _))| *k == kind)
+            .find(|(_, slot)| slot.kind == kind)
             .map(|(n, _)| n.clone())
             .ok_or_else(|| {
                 BigDawgError::NotFound(format!("an engine of kind `{kind}` in the federation"))
@@ -265,7 +277,7 @@ impl BigDawg {
     pub fn engines_of_kind(&self, kind: EngineKind) -> Vec<String> {
         self.engines
             .iter()
-            .filter(|(_, (k, _))| *k == kind)
+            .filter(|(_, slot)| slot.kind == kind)
             .map(|(n, _)| n.clone())
             .collect()
     }
@@ -295,16 +307,15 @@ impl BigDawg {
 
     /// The engine kind of a registered engine.
     pub fn kind_of(&self, engine: &str) -> Result<EngineKind> {
-        Ok(self.engine_entry(engine)?.0)
+        Ok(self.engine_entry(engine)?.kind)
     }
 
     /// The emulated wire latency between the coordinator and `engine`
     /// (zero = co-resident; see [`Shim::wire_latency`]). Unknown engines
     /// read as co-resident so planning never fails on a metadata probe.
-    pub fn wire_of(&self, engine: &str) -> std::time::Duration {
-        self.engine(engine)
-            .map(|e| e.lock().wire_latency())
-            .unwrap_or(std::time::Duration::ZERO)
+    pub fn wire_of(&self, engine: &str) -> Duration {
+        self.engine_entry(engine)
+            .map_or(Duration::ZERO, |slot| slot.wire)
     }
 
     /// True when `engine` shares the coordinator's process — the condition
@@ -361,9 +372,9 @@ impl BigDawg {
                 _ => self.clear_orphan(engine, object),
             }
         }
-        for (name, (kind, shim)) in &self.engines {
-            let shim = shim.lock();
-            let kind = default_kind(*kind);
+        for (name, slot) in &self.engines {
+            let shim = slot.shim.lock();
+            let kind = default_kind(slot.kind);
             let names = shim.object_names();
             let orphans = self.orphans.lock();
             let mut cat = self.catalog.write();
@@ -481,14 +492,16 @@ impl BigDawg {
         }
     }
 
-    /// One data-plane shim call (`get_table`/`put_table`/`execute_native`)
-    /// with all its bookkeeping in one place: the call runs under the
-    /// engine's lock inside a `span` labelled with the engine, is counted
-    /// into the per-engine op counters, and feeds the engine's circuit
-    /// breaker — success closes it, a transient failure counts against it
-    /// (and into the failure counter, mirroring the breaker 1:1), any
-    /// other error (a `not_found` placement race, a rejected statement)
-    /// is counted but says nothing about the engine's health.
+    /// One data-plane shim call (`get_table`/`put_table`/`execute_native`,
+    /// or an island's gather on the downcast engine) with all its
+    /// bookkeeping in one place — with [`BigDawg::read_object`] on top of
+    /// it, the only way the data plane reaches an engine. The call runs
+    /// under the engine's lock inside a `span` labelled with the engine,
+    /// is counted into the per-engine op counters, and feeds the engine's
+    /// circuit breaker — success closes it, a transient failure counts
+    /// against it (and into the failure counter, mirroring the breaker
+    /// 1:1), any other error (a `not_found` placement race, a rejected
+    /// statement) is counted but says nothing about the engine's health.
     pub(crate) fn engine_call<T>(
         &self,
         engine: &str,
@@ -588,7 +601,7 @@ impl BigDawg {
     ) -> Result<CastReport> {
         let mut last = None;
         for _ in 0..3 {
-            let (batch, wire, source) = match self.read_object_copy(object, Some(to_engine)) {
+            let (batch, source) = match self.read_object_copy(object, Some(to_engine)) {
                 Ok(read) => read,
                 Err(e @ BigDawgError::NotFound(_)) => {
                     // placement raced (the copy moved between resolve and
@@ -602,6 +615,7 @@ impl BigDawg {
             // before wire encoding: filtered rows and pruned columns never
             // pay for codec, wire, or target ingest
             let batch = plan::apply_pushdown(&batch, pushdown).unwrap_or(batch);
+            let wire = self.wire_of(&source);
             let report = self.land_temp(&batch, to_engine, new_name, transport, wire)?;
             if record_demand && source != to_engine {
                 self.monitor.lock().record_ship(object, to_engine);
@@ -611,8 +625,16 @@ impl BigDawg {
         Err(last.expect("loop exits early unless a read failed"))
     }
 
-    /// Read one intact copy of `object`, returning the batch, the source
-    /// engine's wire latency, and which engine served it.
+    /// Read one intact copy of `object` — the one door for "read a copy"
+    /// outside a CAST (the D4M and Myria loaders, the monitor's probe):
+    /// placements, failover sweep, hedging, breaker feedback, op counters,
+    /// the `cast.egress` span and the deadline check come with it.
+    pub(crate) fn read_object(&self, object: &str) -> Result<Batch> {
+        self.read_object_copy(object, None).map(|(batch, _)| batch)
+    }
+
+    /// Read one intact copy of `object`, returning the batch and which
+    /// engine served it.
     ///
     /// Source preference: a copy co-located with `prefer` (no wire), then
     /// the primary, then the replicas — with breaker-refused engines
@@ -626,11 +648,7 @@ impl BigDawg {
     /// error names *all* attempted engines (so an operator sees the whole
     /// blast radius); if all misses were `not_found` the race surfaces as
     /// `not_found` for the caller's re-resolve loop.
-    fn read_object_copy(
-        &self,
-        object: &str,
-        prefer: Option<&str>,
-    ) -> Result<(Batch, std::time::Duration, String)> {
+    fn read_object_copy(&self, object: &str, prefer: Option<&str>) -> Result<(Batch, String)> {
         deadline::check_current()?;
         let entry = self.placement(object)?;
         let policy = self.retry_policy();
@@ -683,7 +701,7 @@ impl BigDawg {
         }
         for source in &candidates[start..] {
             match self.read_one_copy(object, source) {
-                Ok((batch, wire)) => return Ok((batch, wire, source.clone())),
+                Ok(batch) => return Ok((batch, source.clone())),
                 // a cancelled or over-budget query must unwind as exactly
                 // that — never diluted into an aggregate execution error
                 // (which would read as transient and be retried)
@@ -713,11 +731,10 @@ impl BigDawg {
 
     /// Read `object` from one specific engine; a success also feeds the
     /// read-latency board that drives hedging thresholds.
-    fn read_one_copy(&self, object: &str, source: &str) -> Result<(Batch, Duration)> {
+    fn read_one_copy(&self, object: &str, source: &str) -> Result<Batch> {
         let started = std::time::Instant::now();
-        let read = self.engine_call(source, "read", "cast.egress", |shim| {
-            Ok((shim.get_table(object)?, shim.wire_latency()))
-        })?;
+        let read =
+            self.engine_call(source, "read", "cast.egress", |shim| shim.get_table(object))?;
         self.latency_board
             .record_read(source, READ_CLASS, started.elapsed());
         Ok(read)
@@ -734,15 +751,13 @@ impl BigDawg {
     /// carries its own token (so cancelling the loser cannot cancel the
     /// query). On a double failure the racers' errors are returned for
     /// the caller's ordinary sweep to aggregate.
-    #[allow(clippy::type_complexity)]
     fn read_hedged(
         &self,
         object: &str,
         primary: &str,
         hedge: &str,
-        threshold: std::time::Duration,
-    ) -> std::result::Result<(Batch, std::time::Duration, String), Vec<(String, BigDawgError)>>
-    {
+        threshold: Duration,
+    ) -> std::result::Result<(Batch, String), Vec<(String, BigDawgError)>> {
         use std::sync::mpsc;
         let parent_deadline = deadline::current().and_then(|c| c.deadline().cloned());
         let racer_ctx =
@@ -774,11 +789,11 @@ impl BigDawg {
                 // fast failure falls through to a plain read of the
                 // would-be hedge copy
                 match outcome {
-                    Ok((batch, wire)) => return Ok((batch, wire, source)),
+                    Ok(batch) => return Ok((batch, source)),
                     Err(e) => failures.push((source, e)),
                 }
                 match self.read_one_copy(object, hedge) {
-                    Ok((batch, wire)) => return Ok((batch, wire, hedge.to_string())),
+                    Ok(batch) => return Ok((batch, hedge.to_string())),
                     Err(e) => {
                         failures.push((hedge.to_string(), e));
                         return Err(());
@@ -803,7 +818,7 @@ impl BigDawg {
             for _ in 0..2 {
                 let (source, outcome) = rx.recv().expect("both racers send exactly once");
                 match outcome {
-                    Ok((batch, wire)) => {
+                    Ok(batch) => {
                         // first success wins; the loser is cancelled so
                         // its wire sleeps wake instead of running out
                         primary_token.cancel(CancelCause::User);
@@ -814,7 +829,7 @@ impl BigDawg {
                             }
                             self.metrics.counter("bigdawg_hedge_wins_total").inc();
                         }
-                        return Ok((batch, wire, source));
+                        return Ok((batch, source));
                     }
                     Err(e) => failures.push((source, e)),
                 }
@@ -1025,10 +1040,11 @@ impl BigDawg {
             // sweeps the surviving placements (any intact copy is a valid
             // source — the commit's epoch guard rejects stale data), the
             // put retries against the same target
-            let (batch, wire, _source) =
+            let (batch, source) =
                 retry::with_retry_observed(&policy, key, Some(&observer), |_| {
                     self.read_object_copy(object, None)
                 })?;
+            let wire = self.wire_of(&source);
             let landed = retry::with_retry_observed(&policy, key, Some(&observer), |_| {
                 self.land(&batch, to_engine, object, transport, wire)
             });

@@ -98,7 +98,9 @@ pub trait Shim: Send {
     /// by `Arc` (the zero-copy transport) instead of encoding them.
     /// Decorators that emulate remote engines
     /// ([`crate::shims::LatencyShim`]) override this; the CAST data plane
-    /// uses it to pipeline chunk transfers over the wire.
+    /// uses it to pipeline chunk transfers over the wire. The federation
+    /// samples it once, at `add_engine`, and plans from that copy without
+    /// taking the engine lock — it must be constant for the shim's life.
     fn wire_latency(&self) -> Duration {
         Duration::ZERO
     }

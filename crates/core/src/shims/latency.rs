@@ -14,9 +14,11 @@
 //! pure metadata calls are *not* delayed: materializing into the gather
 //! engine happens on the coordinator's side of the wire.
 //!
-//! Downcasts pass through to the wrapped shim ([`Shim::as_any`] forwards),
-//! so islands with engine-specific fast paths still work — those fast
-//! paths model co-located execution and skip the emulated wire.
+//! Downcasts pass through to the wrapped shim ([`Shim::as_any`] forwards):
+//! the relational and array islands run their gather on the downcast
+//! engine, which models execution on the gather engine itself and pays no
+//! wire. Every *read* of an object — CAST, the D4M and Myria loaders, the
+//! monitor's probe — goes through [`Shim::get_table`] and pays it.
 
 use crate::shim::{Capability, EngineKind, Shim};
 use bigdawg_common::{Batch, Result};

@@ -7,9 +7,14 @@
 //! trips open and re-closes through ordinary traffic.
 
 use bigdawg_array::Array;
+use bigdawg_common::metrics::labeled;
+use bigdawg_common::CollectingSink;
 use bigdawg_common::Value;
-use bigdawg_core::shims::{ArrayShim, FaultHandle, FaultPlan, FaultShim, OpKind, RelationalShim};
-use bigdawg_core::{BigDawg, BreakerState, RetryPolicy, Transport};
+use bigdawg_core::shims::{
+    ArrayShim, FaultHandle, FaultPlan, FaultShim, KvShim, OpKind, RelationalShim,
+};
+use bigdawg_core::{BigDawg, BreakerState, ObjectKind, RetryPolicy, Transport};
+use std::sync::Arc;
 
 /// pg (healthy) + two array engines wrapped in fault shims; `wave` starts
 /// on scidb_a and is replicated onto scidb_b, so reads have a surviving
@@ -64,6 +69,176 @@ fn failed_read_fails_over_to_a_surviving_replica() {
             )),
         handle_a.injected(OpKind::Read)
     );
+}
+
+/// The multi-system islands read through the federation's read path, so
+/// they see replicas and the retry policy like a CAST does: with the
+/// primary's reads failing, `assoc(obj)` and `scan(obj)` answer from the
+/// surviving copy.
+#[test]
+fn d4m_and_myria_reads_fail_over_to_a_surviving_replica() {
+    let (bd, handle_a, handle_b) =
+        replicated_federation(FaultPlan::crash_at(2), FaultPlan::default());
+    bd.set_retry_policy(RetryPolicy::standard(7));
+    for (island, query) in [("D4M", "assoc(wave)"), ("MYRIA", "scan(wave)")] {
+        let served = handle_b.attempts(OpKind::Read);
+        let b = bd.island_execute(island, query).unwrap();
+        assert_eq!(b.len(), 4, "{island}");
+        assert_eq!(handle_b.attempts(OpKind::Read) - served, 1, "{island}");
+    }
+    assert!(handle_a.is_crashed());
+    assert_eq!(
+        bd.metrics().counter_value(&labeled(
+            "bigdawg_engine_op_failures_total",
+            &[("engine", "scidb_a"), ("op", "read")],
+        )),
+        handle_a.injected(OpKind::Read)
+    );
+}
+
+/// One door to an engine: whichever island gathers, the engine it reaches
+/// books exactly one op under the shared span, and feeds its breaker by
+/// the data-plane rule — a success closes it, a transient failure counts
+/// against it, a `not_found` (a placement race, a missing document) says
+/// nothing about the engine's health.
+#[test]
+fn every_island_gather_counts_its_op_and_feeds_the_breaker() {
+    let mut bd = BigDawg::new();
+    let mut pg = RelationalShim::new("postgres");
+    pg.db_mut()
+        .execute("CREATE TABLE patients (id INT, age INT)")
+        .unwrap();
+    pg.db_mut()
+        .execute("INSERT INTO patients VALUES (1, 70), (2, 50)")
+        .unwrap();
+    bd.add_engine(Box::new(pg));
+    let mut scidb = ArrayShim::new("scidb");
+    scidb.store("wave", Array::from_vector("wave", "v", &[1.0, 2.0], 2));
+    bd.add_engine(Box::new(scidb));
+    // the relational and array gathers downcast through decorators, so
+    // their transient failures are the engines' own; the other three
+    // islands reach their engine through the shim surface, where a
+    // FaultShim fails the third call of each row below
+    let mut kv = KvShim::new("accumulo");
+    kv.index_document(1, "p1", 0, "very sick patient");
+    bd.add_engine(Box::new(FaultShim::new(Box::new(kv), FaultPlan::at(&[3]))));
+    // (named to sort after `postgres`, the RELATIONAL island's cold-start pick)
+    let mut edges = RelationalShim::new("postgres_edges");
+    edges
+        .db_mut()
+        .execute("CREATE TABLE edges (src TEXT, dst TEXT, w FLOAT)")
+        .unwrap();
+    edges
+        .db_mut()
+        .execute("INSERT INTO edges VALUES ('a', 'b', 1.0), ('b', 'c', 2.0)")
+        .unwrap();
+    bd.add_engine(Box::new(FaultShim::new(
+        Box::new(edges),
+        FaultPlan::at(&[3, 6]),
+    )));
+    // cataloged but held by no engine: reading one is a `not_found`
+    for (phantom, engine, kind) in [
+        ("phantom", "postgres", ObjectKind::Table),
+        ("phantom_arr", "scidb", ObjectKind::Array),
+        ("phantom_edges", "postgres_edges", ObjectKind::Table),
+    ] {
+        bd.register_object(phantom, engine, kind).unwrap();
+    }
+    let sink = Arc::new(CollectingSink::new());
+    bd.set_trace_sink(sink.clone());
+
+    // (island, engine, op, span, [ok, not_found, transient] queries, ops a
+    // not_found books: a gather-on-one-engine island re-resolves a
+    // placement-dependent miss three times, a plain read misses once)
+    let rows = [
+        (
+            "RELATIONAL",
+            "postgres",
+            "native",
+            "island.execute",
+            [
+                "SELECT COUNT(*) FROM patients",
+                "SELECT * FROM phantom",
+                "SELECT SQRT(0 - age) FROM patients",
+            ],
+            3,
+        ),
+        (
+            "ARRAY",
+            "scidb",
+            "native",
+            "island.execute",
+            [
+                "aggregate(wave, max, v)",
+                "scan(phantom_arr)",
+                "regrid(wave, 0, avg)",
+            ],
+            3,
+        ),
+        (
+            "TEXT",
+            "accumulo",
+            "native",
+            "island.execute",
+            ["search(sick)", "get(999)", "search(sick)"],
+            1,
+        ),
+        (
+            "D4M",
+            "postgres_edges",
+            "read",
+            "cast.egress",
+            ["assoc(edges)", "assoc(phantom_edges)", "assoc(edges)"],
+            1,
+        ),
+        (
+            // the join's two scans and two row estimates share one export
+            "MYRIA",
+            "postgres_edges",
+            "read",
+            "cast.egress",
+            [
+                "scan(edges) |> join(scan(edges), dst, src) |> agg(*; count)",
+                "scan(phantom_edges)",
+                "scan(edges)",
+            ],
+            1,
+        ),
+    ];
+    for (island, engine, op, span, queries, not_found_ops) in rows {
+        let ops = || {
+            bd.metrics().counter_value(&labeled(
+                "bigdawg_engine_ops_total",
+                &[("engine", engine), ("op", op)],
+            ))
+        };
+        // (outcome, ops booked, breaker streak afterwards)
+        let outcomes = [
+            ("ok", 1, 0),
+            ("not_found", not_found_ops, 1),
+            ("execution", 1, 2),
+        ];
+        for (query, (outcome, booked, streak)) in queries.into_iter().zip(outcomes) {
+            // start from a streak of one, so an outcome that leaves the
+            // breaker alone reads differently from one that closes it
+            bd.breakers().record_success(engine);
+            bd.breakers().record_failure(engine);
+            sink.take();
+            let before = ops();
+            let result = bd.island_execute(island, query);
+            let kind = result.as_ref().map_or_else(|e| e.kind(), |_| "ok");
+            assert_eq!(kind, outcome, "{island}/{query}: {result:?}");
+            assert_eq!(ops() - before, booked, "{island}/{outcome}");
+            let spans = sink.take();
+            let emitted = spans.iter().filter(|s| s.name == span && s.label == engine);
+            assert_eq!(emitted.count() as u64, booked, "{island}/{outcome}");
+            assert_eq!(
+                bd.engine_health(engine).consecutive_failures,
+                streak,
+                "{island}/{outcome}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -9,8 +9,7 @@
 
 use bigdawg::analytics::fft::dominant_frequency;
 use bigdawg::analytics::AnomalyDetector;
-use bigdawg::common::{DataType, Schema, Value};
-use bigdawg::core::monitor::LatencyHistogram;
+use bigdawg::common::{DataType, Histogram, Schema, Value};
 use bigdawg::mimic::{plant_anomalies, WaveformGen};
 use bigdawg::stream::ingest::Frame;
 use bigdawg::stream::{Engine, IngestQueue, WindowSpec};
@@ -74,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // latencies go into the monitor's histogram type so the tail is visible
     // the way the cost model sees it.
     let queue = IngestQueue::new();
-    let mut drain_hist = LatencyHistogram::default();
+    let drain_hist = Histogram::new();
     for i in 0..samples {
         queue.push(Frame {
             stream: "vitals".into(),
@@ -96,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "1000-sample drain latency over {} batches: mean {:?}, p50 ≤ {:?}, p99 ≤ {:?}",
         drain_hist.count(),
-        drain_hist.mean().unwrap_or_default(),
+        drain_hist.mean(),
         drain_hist.quantile(0.5).unwrap_or_default(),
         drain_hist.quantile(0.99).unwrap_or_default(),
     );

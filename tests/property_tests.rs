@@ -413,11 +413,14 @@ proptest! {
 
     /// Metrics-histogram conservation: however operations distribute over
     /// the log2 buckets, the bucket totals always equal the recorded op
-    /// count (nothing double-counted, nothing dropped), and the rendered
-    /// Prometheus `_count` agrees.
+    /// count (nothing double-counted, nothing dropped), the rendered
+    /// Prometheus `_count` agrees, and every quantile estimate is the
+    /// upper bound of the bucket holding the exact order statistic — the
+    /// monitor's hedging threshold is never off by more than 2×.
     #[test]
     fn histogram_buckets_always_sum_to_the_op_count(
         micros in proptest::collection::vec(0u64..10_000_000_000, 0..200),
+        q in 0.0f64..=1.0,
     ) {
         let registry = bigdawg::common::MetricsRegistry::new();
         let h = registry.histogram("bigdawg_test_duration_microseconds");
@@ -430,6 +433,17 @@ proptest! {
         let rendered = registry.render_prometheus();
         let count_line = format!("bigdawg_test_duration_microseconds_count {}", micros.len());
         prop_assert!(rendered.contains(&count_line));
+        let mut sorted = micros.clone();
+        sorted.sort_unstable();
+        let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
+        match (h.quantile(q), sorted.get(rank - 1)) {
+            (Some(estimate), Some(&exact)) => {
+                let bound = estimate.as_micros() as u64;
+                prop_assert!(bound / 2 <= exact.max(1) && exact.max(1) < bound,
+                    "quantile({q}) = {bound} µs vs exact {exact} µs");
+            }
+            (estimate, exact) => prop_assert!(estimate.is_none() && exact.is_none()),
+        }
     }
 }
 
