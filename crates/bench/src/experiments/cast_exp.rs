@@ -81,15 +81,13 @@ mod tests {
     #[test]
     fn binary_beats_file_on_waveforms() {
         let demo = demo_polystore(DemoConfig::tiny()).unwrap();
-        let results = run(&demo).unwrap();
-        let wave = &results[0];
-        assert_eq!(wave.rows, 4000);
-        assert!(
-            wave.binary.total() < wave.file.total(),
-            "binary {:?} must beat CSV {:?}",
-            wave.binary.total(),
-            wave.file.total()
-        );
+        // best of three per transport: one shot of a sub-millisecond CAST
+        // loses to a scheduler hiccup on a shared two-core box
+        let runs: Vec<CastResult> = (0..3).map(|_| run(&demo).unwrap().remove(0)).collect();
+        assert!(runs.iter().all(|wave| wave.rows == 4000));
+        let best = |total: fn(&CastResult) -> std::time::Duration| runs.iter().map(total).min();
+        let (binary, file) = (best(|w| w.binary.total()), best(|w| w.file.total()));
+        assert!(binary < file, "binary {binary:?} must beat CSV {file:?}");
         // federation unchanged afterwards
         assert!(demo.bd.locate("waveform_0").unwrap() == "scidb");
     }

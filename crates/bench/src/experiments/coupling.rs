@@ -125,19 +125,24 @@ mod tests {
 
     #[test]
     fn conversion_tax_is_real() {
-        let r = run(96).unwrap();
+        // best of three per timing: one shot of a millisecond kernel loses
+        // to a scheduler hiccup on a shared two-core box
+        let runs: Vec<CouplingResult> = (0..3).map(|_| run(96).unwrap()).collect();
+        let best = |timing: fn(&CouplingResult) -> Duration| {
+            let fastest = runs.iter().map(timing).min();
+            fastest.expect("three runs")
+        };
         assert!(
-            r.conversion > Duration::ZERO,
+            best(|r| r.conversion) > Duration::ZERO,
             "format conversion costs something"
         );
         // the tight path skips the conversion entirely, so it must not be
         // slower than loose by more than the kernel noise
+        let (tight, loose) = (best(|r| r.tight_matmul), best(|r| r.loose_matmul));
         assert!(
-            r.tight_matmul < r.loose_matmul + r.loose_matmul / 2,
-            "tight {:?} vs loose {:?}",
-            r.tight_matmul,
-            r.loose_matmul
+            tight < loose + loose / 2,
+            "tight {tight:?} vs loose {loose:?}"
         );
-        assert!(r.tight_sum <= r.loose_sum * 3);
+        assert!(best(|r| r.tight_sum) <= best(|r| r.loose_sum) * 3);
     }
 }

@@ -326,11 +326,27 @@ impl Batch {
         let keys = self.columns[i].values();
         let mut perm: Vec<usize> = (0..self.len).collect();
         perm.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
-        for col in &mut self.columns {
-            *col = Arc::new(col.gather(&perm));
-        }
-        self.row_cache = OnceLock::new();
+        *self = self.filter(&perm);
         Ok(())
+    }
+
+    /// The rows at `selection`, in that order — a selection vector from a
+    /// predicate kernel, or a permutation. Every column is gathered in its
+    /// own typed layout ([`Column::gather`]); no rows are materialized.
+    ///
+    /// # Panics
+    /// Panics when an index is out of range, like slice indexing.
+    pub fn filter(&self, selection: &[usize]) -> Batch {
+        Batch {
+            schema: self.schema.clone(),
+            columns: self
+                .columns
+                .iter()
+                .map(|c| Arc::new(c.gather(selection)))
+                .collect(),
+            len: selection.len(),
+            row_cache: OnceLock::new(),
+        }
     }
 
     /// Narrow untyped (`DataType::Null`) columns to the common type of their
@@ -509,6 +525,24 @@ mod tests {
         b.sort_by_column("age").unwrap();
         assert!(b.rows()[0][1].is_null());
         assert_eq!(b.rows()[1][1], Value::Int(54));
+    }
+
+    #[test]
+    fn filter_gathers_typed_columns_in_selection_order() {
+        let b = patients();
+        let kept = b.filter(&[2, 0]);
+        assert_eq!(kept.schema(), b.schema());
+        assert_eq!(
+            kept.rows(),
+            &[
+                vec![Value::Int(3), Value::Int(54)],
+                vec![Value::Int(1), Value::Int(70)]
+            ]
+        );
+        assert_eq!(kept.column_ref(1).as_ints().unwrap(), &[54, 70]);
+        let none = b.filter(&[]);
+        assert_eq!((none.len(), none.schema().len()), (0, 2));
+        assert!(none.column_ref(0).as_ints().is_some(), "layout survives");
     }
 
     #[test]

@@ -94,8 +94,12 @@ impl NullMask {
         }
     }
 
-    /// A new mask whose row `k` is this mask's row `idx[k]` (sort/permute).
+    /// A new mask whose row `k` is this mask's row `idx[k]` (sort/permute/
+    /// filter).
     pub fn gather(&self, idx: &[usize]) -> NullMask {
+        if !self.any() {
+            return NullMask::all_valid(idx.len());
+        }
         let mut out = NullMask::new();
         for &i in idx {
             out.push(self.is_null(i));
@@ -575,6 +579,31 @@ mod tests {
             assert!(!a.is_null(200 + i));
         }
         assert_eq!(a.null_count(), 24 + 44);
+    }
+
+    #[test]
+    fn gather_equals_the_bit_by_bit_result() {
+        let bit_by_bit = |m: &NullMask, idx: &[usize]| {
+            idx.iter().fold(NullMask::new(), |mut out, &i| {
+                out.push(m.is_null(i));
+                out
+            })
+        };
+        let build = |null: fn(usize) -> bool| {
+            (0..130).fold(NullMask::new(), |mut m, i| {
+                m.push(null(i));
+                m
+            })
+        };
+        // repeats, reversal, and a run that crosses both word boundaries
+        let idx: Vec<usize> = (0..130).rev().chain([0, 0, 64, 129, 63]).collect();
+        for mask in [build(|_| false), build(|_| true), build(|i| i % 3 == 0)] {
+            for idx in [&idx[..], &idx[..64], &[]] {
+                let got = mask.gather(idx);
+                assert_eq!(got, bit_by_bit(&mask, idx));
+                assert_eq!(got.len(), idx.len());
+            }
+        }
     }
 
     #[test]

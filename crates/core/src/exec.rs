@@ -243,6 +243,10 @@ pub struct LeafMetrics {
     pub retries: u32,
     /// Leaf wall time: source read (or sub-query), ship, and target write.
     pub wall: Duration,
+    /// Why a rewrite pushed below this leaf did not run (`parse`,
+    /// `missing_column`, `eval_error`, `projection_noop`); empty when every
+    /// pushed rewrite applied.
+    pub pushdown_skipped: Vec<&'static str>,
 }
 
 /// An executed [`Plan`] annotated with measurements — what
@@ -291,18 +295,25 @@ impl fmt::Display for AnalyzedPlan {
                 "  leaf {i}  {source} -> {} as {}{}",
                 leaf.target_engine, leaf.temp, leaf.pushdown
             )?;
-            match self.leaves.get(i) {
-                Some(m) => writeln!(
-                    f,
-                    " [{}]  ({} rows, {} wire bytes, {} retr{}, {:?})",
-                    m.transport,
-                    m.rows,
-                    m.wire_bytes,
-                    m.retries,
-                    if m.retries == 1 { "y" } else { "ies" },
-                    m.wall
-                )?,
-                None => writeln!(f, " [{}]  (not run)", leaf.transport)?,
+            let Some(m) = self.leaves.get(i) else {
+                writeln!(f, " [{}]  (not run)", leaf.transport)?;
+                continue;
+            };
+            writeln!(
+                f,
+                " [{}]  ({} rows, {} wire bytes, {} retr{}, {:?})",
+                m.transport,
+                m.rows,
+                m.wire_bytes,
+                m.retries,
+                if m.retries == 1 { "y" } else { "ies" },
+                m.wall
+            )?;
+            // a lenient fallback is never silent, and plans whose rewrites
+            // all applied render unchanged
+            if !m.pushdown_skipped.is_empty() {
+                let reasons = m.pushdown_skipped.join(", ");
+                writeln!(f, "          pushdown skipped: {reasons}")?;
             }
         }
         for p in &self.plan.placements {
@@ -526,7 +537,7 @@ fn run_leaf(bd: &BigDawg, leaf: &Leaf, schedule: Schedule, parent: u64) -> Resul
     let _leaf_span = bd.tracer().span_under(parent, "exec.leaf", LeafLabel(leaf));
     let started = Instant::now();
     let result = (|| {
-        let (report, retries) = match &leaf.source {
+        let (report, retries, pushdown_skipped) = match &leaf.source {
             LeafSource::Object(object) => bd.cast_object_attempts(
                 object,
                 &leaf.target_engine,
@@ -540,7 +551,9 @@ fn run_leaf(bd: &BigDawg, leaf: &Leaf, schedule: Schedule, parent: u64) -> Resul
                     Schedule::Parallel => execute(bd, query)?,
                     Schedule::Serial => scope::execute(bd, query)?,
                 };
-                bd.materialize(batch, &leaf.target_engine, &leaf.temp, leaf.transport)?
+                let (report, retries) =
+                    bd.materialize(batch, &leaf.target_engine, &leaf.temp, leaf.transport)?;
+                (report, retries, Vec::new())
             }
         };
         bd.monitor().lock().record_cast(&report);
@@ -550,6 +563,7 @@ fn run_leaf(bd: &BigDawg, leaf: &Leaf, schedule: Schedule, parent: u64) -> Resul
             transport: report.transport,
             retries,
             wall: started.elapsed(),
+            pushdown_skipped,
         })
     })();
     // leaf wall time feeds the query context win or lose: a deadline error
@@ -696,5 +710,96 @@ mod tests {
         assert_eq!(b.len(), 1);
         assert_eq!(b.rows()[0][0], Value::Float(67.0));
         assert_eq!(bd.catalog().read().len(), 3, "all sub-DAG temps cleaned");
+    }
+
+    #[test]
+    fn skipped_pushdown_is_counted_traced_and_explained_by_reason() {
+        const REASONS: [&str; 4] = ["parse", "missing_column", "eval_error", "projection_noop"];
+        let mut bd = federation();
+        bd.add_engine(Box::new(RelationalShim::new("pg2")));
+        let sink = std::sync::Arc::new(bigdawg_common::CollectingSink::new());
+        bd.set_trace_sink(sink.clone());
+        let count = |reason: &str| {
+            let labels = [("reason", reason)];
+            bd.metrics()
+                .counter_value(&bigdawg_common::metrics::labeled(
+                    "bigdawg_pushdown_skipped_total",
+                    &labels,
+                ))
+        };
+        // (pushed predicate, pushed columns) → reasons skipped, rows shipped
+        type Case<'a> = (Option<&'a str>, Option<&'a [&'a str]>, &'a [&'a str], i64);
+        let table: [Case; 7] = [
+            (Some("age >= 60"), Some(&["id"]), &[], 2),
+            (Some("age >>> 1"), None, &["parse"], 3),
+            (Some("ghost > 1"), None, &["missing_column"], 3),
+            (Some("10 / (age - 50) > 1"), None, &["eval_error"], 3),
+            (None, Some(&["age", "id"]), &["projection_noop"], 3),
+            (None, Some(&["ghost"]), &["projection_noop"], 3),
+            (
+                Some("ghost > 1"),
+                Some(&["age", "id"]),
+                &["missing_column", "projection_noop"],
+                3,
+            ),
+        ];
+        for (predicate, columns, skipped, shipped) in table {
+            let temp = bd.temp_name();
+            let plan = Plan {
+                island: "PG2".into(),
+                body: format!("SELECT COUNT(*) FROM {temp}"),
+                leaves: vec![Leaf {
+                    source: LeafSource::Object("patients".into()),
+                    target_engine: "pg2".into(),
+                    temp,
+                    transport: Transport::Binary,
+                    fallbacks: Vec::new(),
+                    pushdown: LeafPushdown {
+                        predicate: predicate.map(str::to_string),
+                        columns: columns.map(|c| c.iter().map(|s| s.to_string()).collect()),
+                    },
+                }],
+                placements: Vec::new(),
+                breakers: Vec::new(),
+                cache: None,
+            };
+            let before = REASONS.map(count);
+            sink.take();
+            let (batch, leaves, gather) = run_measured(&bd, &plan).unwrap();
+            let case = format!("{}", plan.leaves[0].pushdown);
+            // the lenient rule: a skipped rewrite ships the object as read
+            assert_eq!(batch.rows()[0][0], Value::Int(shipped), "{case}");
+            assert_eq!(leaves[0].pushdown_skipped, skipped, "{case}");
+            for (reason, before) in REASONS.iter().zip(before) {
+                let fired = skipped.contains(reason) as u64;
+                assert_eq!(count(reason) - before, fired, "{case}: {reason}");
+            }
+            // one event per reason, inside the leaf's span
+            let spans = sink.take();
+            let leaf_span = spans.iter().find(|s| s.name == "exec.leaf").unwrap();
+            let events: Vec<&str> = (spans.iter())
+                .filter(|s| s.name == "exec.pushdown_skipped")
+                .map(|s| {
+                    assert!(leaf_span.start <= s.start && s.end <= leaf_span.end);
+                    s.label.as_str()
+                })
+                .collect();
+            assert_eq!(events, skipped, "{case}");
+            // EXPLAIN ANALYZE says so on that leaf — and only when it fired
+            let rendered = AnalyzedPlan {
+                plan,
+                leaves,
+                gather,
+                total: gather,
+                cache: crate::cache::CacheStatus::Disabled,
+                queue_wait: Duration::ZERO,
+                hedge: HedgeStats::default(),
+                deadline_slack: None,
+            }
+            .to_string();
+            let note = format!("pushdown skipped: {}\n", skipped.join(", "));
+            assert_eq!(rendered.contains("pushdown skipped"), !skipped.is_empty());
+            assert!(skipped.is_empty() || rendered.contains(&note), "{rendered}");
+        }
     }
 }

@@ -440,17 +440,18 @@ impl BigDawg {
     ) -> Result<CastReport> {
         let pushdown = exec::LeafPushdown::default();
         self.cast_object_attempts(object, to_engine, new_name, transport, true, &pushdown)
-            .map(|(report, _retries)| report)
+            .map(|(report, ..)| report)
     }
 
     /// [`BigDawg::cast_object`] plus the number of retries the winning
     /// attempt consumed (0 = first try) — the per-leaf retry count
     /// `EXPLAIN ANALYZE` reports. `pushdown` carries the rewrites the
     /// optimizer planted below this CAST boundary; they are applied to the
-    /// rows before wire encoding. `record_demand` is off for the monitor's
-    /// own measurement copies (`probe`), which must not masquerade as
-    /// workload demand: placement reacts to queries, not to the monitor
-    /// measuring itself.
+    /// rows before wire encoding, and the reason any of them was skipped
+    /// comes back third (see [`plan::apply_pushdown`]). `record_demand` is
+    /// off for the monitor's own measurement copies (`probe`), which must
+    /// not masquerade as workload demand: placement reacts to queries, not
+    /// to the monitor measuring itself.
     pub(crate) fn cast_object_attempts(
         &self,
         object: &str,
@@ -459,7 +460,7 @@ impl BigDawg {
         transport: Transport,
         record_demand: bool,
         pushdown: &exec::LeafPushdown,
-    ) -> Result<(CastReport, u32)> {
+    ) -> Result<(CastReport, u32, Vec<&'static str>)> {
         let observer = self.retry_observer("cast");
         // each retry attempt re-runs the whole cast — re-resolving the
         // placement and re-sweeping the surviving copies, so an engine
@@ -478,7 +479,7 @@ impl BigDawg {
                     record_demand,
                     pushdown,
                 )
-                .map(|report| (report, attempt))
+                .map(|(report, skipped)| (report, attempt, skipped))
             },
         )
     }
@@ -598,7 +599,7 @@ impl BigDawg {
         transport: Transport,
         record_demand: bool,
         pushdown: &exec::LeafPushdown,
-    ) -> Result<CastReport> {
+    ) -> Result<(CastReport, Vec<&'static str>)> {
         let mut last = None;
         for _ in 0..3 {
             let (batch, source) = match self.read_object_copy(object, Some(to_engine)) {
@@ -614,13 +615,21 @@ impl BigDawg {
             // pushed-down rewrites run here, after the source read and
             // before wire encoding: filtered rows and pruned columns never
             // pay for codec, wire, or target ingest
-            let batch = plan::apply_pushdown(&batch, pushdown).unwrap_or(batch);
+            let (pushed, skipped) = plan::apply_pushdown(&batch, pushdown);
+            for reason in &skipped {
+                let labels = [("reason", *reason)];
+                self.metrics
+                    .counter(&labeled("bigdawg_pushdown_skipped_total", &labels))
+                    .inc();
+                self.tracer.event("exec.pushdown_skipped", reason);
+            }
+            let batch = pushed.unwrap_or(batch);
             let wire = self.wire_of(&source);
             let report = self.land_temp(&batch, to_engine, new_name, transport, wire)?;
             if record_demand && source != to_engine {
                 self.monitor.lock().record_ship(object, to_engine);
             }
-            return Ok(report);
+            return Ok((report, skipped));
         }
         Err(last.expect("loop exits early unless a read failed"))
     }

@@ -5,7 +5,8 @@
 //! reused by the Myria island, which compiles its relational-algebra plans to
 //! the same executor.
 
-use bigdawg_common::{BigDawgError, Result, Row, Schema, Value};
+use bigdawg_common::{Batch, BigDawgError, ColumnData, NullMask, Result, Row, Schema, Value};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Binary operators in increasing-precedence tiers (handled by the parser).
@@ -26,6 +27,14 @@ pub enum BinOp {
     Mod,
     /// SQL `LIKE` with `%` and `_` wildcards.
     Like,
+}
+
+impl BinOp {
+    /// `=`, `<>`, `<`, `<=`, `>`, `>=`.
+    fn is_comparison(self) -> bool {
+        use BinOp::*;
+        matches!(self, Eq | NotEq | Lt | LtEq | Gt | GtEq)
+    }
 }
 
 impl fmt::Display for BinOp {
@@ -344,14 +353,125 @@ impl Expr {
 
     /// Evaluate as a predicate: NULL counts as false (SQL WHERE semantics).
     pub fn matches(&self, schema: &Schema, row: &Row) -> Result<bool> {
+        Ok(self.verdict(schema, row)?.unwrap_or(false))
+    }
+
+    /// Evaluate as a predicate, keeping SQL's third truth value: `None` is
+    /// NULL.
+    fn verdict(&self, schema: &Schema, row: &Row) -> Result<Option<bool>> {
         match self.eval(schema, row)? {
-            Value::Bool(b) => Ok(b),
-            Value::Null => Ok(false),
+            Value::Bool(b) => Ok(Some(b)),
+            Value::Null => Ok(None),
             v => Err(BigDawgError::TypeError(format!(
                 "predicate evaluated to non-boolean {}",
                 v.data_type()
             ))),
         }
+    }
+
+    /// Evaluate as a predicate over a whole batch, column-at-a-time: the
+    /// ascending indices of the rows [`Expr::matches`] keeps, and `Err`
+    /// exactly when `matches` fails on some row.
+    ///
+    /// Comparisons, `IS [NOT] NULL`, `BETWEEN` and `IN` whose operands are
+    /// columns or literals, and `AND` / `OR` / `NOT` over them, read the
+    /// typed column payloads and never build a row. Any other shape
+    /// (arithmetic, `LIKE`, scalar calls) falls back to [`Expr::eval`] over
+    /// a mini-row of just the columns it references. `AND` evaluates its
+    /// right side only on the rows its left side left open, and so does
+    /// `OR`: an error the row-wise short-circuit never reaches is not
+    /// raised here either.
+    pub fn select(&self, batch: &Batch) -> Result<Vec<usize>> {
+        let rows: Vec<usize> = (0..batch.len()).collect();
+        let truth = self.truth(batch, &rows)?;
+        Ok(open_rows(&rows, &truth, |t| t == Some(true)))
+    }
+
+    /// This predicate's SQL truth value on each of `rows` (`None` is NULL).
+    fn truth(&self, batch: &Batch, rows: &[usize]) -> Result<Vec<Option<bool>>> {
+        let lane = |e| Lane::of(e, batch);
+        let kernel = match self {
+            Expr::Binary {
+                op: op @ (BinOp::And | BinOp::Or),
+                left,
+                right,
+            } => {
+                // FALSE decides an AND alone and TRUE an OR; elsewhere the
+                // left side is the operator's identity or NULL
+                let decided = Some(*op == BinOp::Or);
+                let mut out = left.truth(batch, rows)?;
+                let open = open_rows(rows, &out, |l| l != decided);
+                let mut right = right.truth(batch, &open)?.into_iter();
+                for l in out.iter_mut().filter(|l| **l != decided) {
+                    let r = right.next().expect("one verdict per open row");
+                    *l = if r == decided { r } else { l.and(r) };
+                }
+                Some(out)
+            }
+            Expr::Not(inner) => {
+                let mut out = inner.truth(batch, rows)?;
+                out.iter_mut().for_each(|t| *t = t.map(|b| !b));
+                Some(out)
+            }
+            Expr::Binary { op, left, right } if op.is_comparison() => lane(left)
+                .zip(lane(right))
+                .map(|(l, r)| each(rows, |i| Some(ord_holds(*op, l.cell(i)?.cmp(r.cell(i)?))))),
+            Expr::IsNull { expr, negated } => {
+                lane(expr).map(|e| each(rows, |i| Some(e.cell(i).is_none() != *negated)))
+            }
+            Expr::Between {
+                expr,
+                low,
+                high,
+                negated,
+            } => lane(expr)
+                .zip(lane(low))
+                .zip(lane(high))
+                .map(|((v, lo), hi)| {
+                    each(rows, |i| {
+                        let (v, lo, hi) = (v.cell(i)?, lo.cell(i)?, hi.cell(i)?);
+                        Some((v.cmp(lo).is_ge() && v.cmp(hi).is_le()) != *negated)
+                    })
+                }),
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => lane(expr)
+                .zip(list.iter().map(lane).collect::<Option<Vec<_>>>())
+                .map(|(v, items)| {
+                    each(rows, |i| {
+                        let v = v.cell(i)?;
+                        let found = |item: &Lane| item.cell(i).is_some_and(|c| c.cmp(v).is_eq());
+                        Some(items.iter().any(found) != *negated)
+                    })
+                }),
+            _ => None,
+        };
+        match kernel {
+            Some(out) => Ok(out),
+            None => self.truth_by_row(batch, rows),
+        }
+    }
+
+    /// The fallback behind [`Expr::truth`]: [`Expr::eval`] per row, over a
+    /// mini-row of only the columns the expression references. A column the
+    /// batch lacks is left out, so `eval` reports it if and when a row
+    /// reaches it.
+    fn truth_by_row(&self, batch: &Batch, rows: &[usize]) -> Result<Vec<Option<bool>>> {
+        let mut cols: Vec<usize> = (self.columns().into_iter())
+            .filter_map(|c| batch.schema().index_of(c).ok())
+            .collect();
+        // ascending source order keeps `Schema::index_of`'s first-match rule
+        cols.sort_unstable();
+        cols.dedup();
+        let schema = batch.schema().project(&cols);
+        rows.iter()
+            .map(|&i| {
+                let row: Row = cols.iter().map(|&c| batch.value_at(i, c)).collect();
+                self.verdict(&schema, &row)
+            })
+            .collect()
     }
 
     /// All column names referenced by this expression.
@@ -493,17 +613,7 @@ fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
             if l.is_null() || r.is_null() {
                 return Ok(Value::Null);
             }
-            let ord = l.cmp(r);
-            let b = match op {
-                Eq => ord.is_eq(),
-                NotEq => !ord.is_eq(),
-                Lt => ord.is_lt(),
-                LtEq => ord.is_le(),
-                Gt => ord.is_gt(),
-                GtEq => ord.is_ge(),
-                _ => unreachable!(),
-            };
-            Ok(Value::Bool(b))
+            Ok(Value::Bool(ord_holds(op, l.cmp(r))))
         }
         Like => {
             if l.is_null() || r.is_null() {
@@ -512,6 +622,134 @@ fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
             Ok(Value::Bool(like_match(l.as_str()?, r.as_str()?)))
         }
         And | Or => unreachable!("handled by eval with short-circuit"),
+    }
+}
+
+/// Whether comparison `op` holds between operands ordered `ord`.
+fn ord_holds(op: BinOp, ord: Ordering) -> bool {
+    match op {
+        BinOp::Eq => ord.is_eq(),
+        BinOp::NotEq => ord.is_ne(),
+        BinOp::Lt => ord.is_lt(),
+        BinOp::LtEq => ord.is_le(),
+        BinOp::Gt => ord.is_gt(),
+        BinOp::GtEq => ord.is_ge(),
+        _ => unreachable!("{op} is not a comparison"),
+    }
+}
+
+/// One verdict per row of `rows`.
+fn each(rows: &[usize], verdict: impl Fn(usize) -> Option<bool>) -> Vec<Option<bool>> {
+    rows.iter().map(|&i| verdict(i)).collect()
+}
+
+/// The rows whose verdict leaves them `open`.
+fn open_rows(
+    rows: &[usize],
+    truth: &[Option<bool>],
+    open: impl Fn(Option<bool>) -> bool,
+) -> Vec<usize> {
+    let kept = rows.iter().zip(truth).filter(|(_, t)| open(**t));
+    kept.map(|(&i, _)| i).collect()
+}
+
+/// A borrowed non-NULL value, ordered exactly as [`Value`] orders itself.
+#[derive(Clone, Copy)]
+enum Cell<'a> {
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Text(&'a str),
+    Timestamp(i64),
+}
+
+impl<'a> Cell<'a> {
+    /// `None` for NULL.
+    fn of(v: &'a Value) -> Option<Cell<'a>> {
+        Some(match v {
+            Value::Null => return None,
+            Value::Bool(b) => Cell::Bool(*b),
+            Value::Int(i) => Cell::Int(*i),
+            Value::Float(f) => Cell::Float(*f),
+            Value::Text(s) => Cell::Text(s),
+            Value::Timestamp(t) => Cell::Timestamp(*t),
+        })
+    }
+
+    /// `Value::cmp` without the NULL arms: same-type natively (floats by
+    /// `total_cmp`), mixed numerics through `f64`, otherwise by type rank.
+    /// Forced inline with [`Lane::cell`]: left out of line, the kernels'
+    /// per-row loops run about three times slower.
+    #[inline(always)]
+    fn cmp(self, other: Cell<'_>) -> Ordering {
+        use Cell::*;
+        let numeric = |c| match c {
+            Int(i) | Timestamp(i) => Some(i as f64),
+            Float(f) => Some(f),
+            Bool(_) | Text(_) => None,
+        };
+        let rank = |c| match c {
+            Bool(_) => 1,
+            Int(_) => 2,
+            Float(_) => 3,
+            Timestamp(_) => 4,
+            Text(_) => 5,
+        };
+        match (self, other) {
+            (Bool(a), Bool(b)) => a.cmp(&b),
+            (Int(a), Int(b)) | (Timestamp(a), Timestamp(b)) => a.cmp(&b),
+            (Text(a), Text(b)) => a.cmp(b),
+            (Float(a), Float(b)) => a.total_cmp(&b),
+            (a, b) => match numeric(a).zip(numeric(b)) {
+                Some((x, y)) => x.total_cmp(&y),
+                None => rank(a).cmp(&rank(b)),
+            },
+        }
+    }
+}
+
+/// One operand of a vectorised comparison: a column's payload or a literal.
+#[derive(Clone, Copy)]
+enum Lane<'a> {
+    /// `nulls` is `None` when the column has no NULL to check for.
+    Col {
+        data: &'a ColumnData,
+        nulls: Option<&'a NullMask>,
+    },
+    Lit(Option<Cell<'a>>),
+}
+
+impl<'a> Lane<'a> {
+    /// `None` unless `e` is a column of `batch` or a literal.
+    fn of(e: &'a Expr, batch: &'a Batch) -> Option<Lane<'a>> {
+        match e {
+            Expr::Column(name) => {
+                let col = batch.column_ref(batch.schema().index_of(name).ok()?);
+                Some(Lane::Col {
+                    data: col.data(),
+                    nulls: Some(col.nulls()).filter(|n| n.any()),
+                })
+            }
+            Expr::Literal(v) => Some(Lane::Lit(Cell::of(v))),
+            _ => None,
+        }
+    }
+
+    /// The operand's value on row `i`; `None` is NULL.
+    #[inline(always)]
+    fn cell(&self, i: usize) -> Option<Cell<'a>> {
+        match *self {
+            Lane::Lit(cell) => cell,
+            Lane::Col { nulls: Some(n), .. } if n.is_null(i) => None,
+            Lane::Col { data, .. } => match data {
+                ColumnData::Bool(v) => Some(Cell::Bool(v[i])),
+                ColumnData::Int(v) => Some(Cell::Int(v[i])),
+                ColumnData::Float(v) => Some(Cell::Float(v[i])),
+                ColumnData::Text(v) => Some(Cell::Text(&v[i])),
+                ColumnData::Timestamp(v) => Some(Cell::Timestamp(v[i])),
+                ColumnData::Mixed(v) => Cell::of(&v[i]),
+            },
+        }
     }
 }
 
