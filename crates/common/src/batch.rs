@@ -21,10 +21,24 @@ use crate::error::{BigDawgError, Result};
 use crate::schema::{Field, Schema};
 use crate::value::{DataType, Value};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// One tuple.
 pub type Row = Vec<Value>;
+
+/// Row views built so far, process-wide: one per [`Batch::rows`]
+/// materialisation and one per [`Batch::into_rows`]. A statistic only —
+/// it publishes no other data, hence `Relaxed`.
+static ROW_VIEWS: AtomicU64 = AtomicU64::new(0);
+
+/// How many row-major views batches of this process have built — the
+/// `bigdawg_batch_row_views_total` sample of
+/// [`crate::MetricsRegistry::render_prometheus`]. A columnar data path
+/// leaves it unchanged.
+pub fn row_views_total() -> u64 {
+    ROW_VIEWS.load(Ordering::Relaxed)
+}
 
 /// A schema plus columnar data. The invariant `columns[i].len() == len()`
 /// (and one column per schema field) is enforced on every mutation path.
@@ -185,6 +199,7 @@ impl Batch {
     /// column accessors.
     pub fn rows(&self) -> &[Row] {
         self.row_cache.get_or_init(|| {
+            ROW_VIEWS.fetch_add(1, Ordering::Relaxed);
             (0..self.len)
                 .map(|i| self.columns.iter().map(|c| c.value(i)).collect())
                 .collect()
@@ -222,6 +237,7 @@ impl Batch {
     /// Consume the batch, yielding its rows. Uniquely owned columns move
     /// their payloads out without cloning.
     pub fn into_rows(self) -> Vec<Row> {
+        ROW_VIEWS.fetch_add(1, Ordering::Relaxed);
         let Batch {
             columns,
             len,

@@ -269,13 +269,23 @@ impl MetricsRegistry {
     }
 
     /// Render every registered sample in the Prometheus text exposition
-    /// format, sorted by name.
+    /// format, sorted by name — and with them the one process-wide sample,
+    /// `bigdawg_batch_row_views_total` ([`crate::batch::row_views_total`]).
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
         let mut last_family = String::new();
-        for (name, c) in self.counters.read().unwrap().iter() {
+        let counters = self.counters.read().unwrap();
+        let mut counters: BTreeMap<&str, u64> = (counters.iter())
+            .map(|(name, c)| (name.as_str(), c.value()))
+            .collect();
+        // process-wide, so it lives beside `Batch`, not in any one registry
+        counters.insert(
+            "bigdawg_batch_row_views_total",
+            crate::batch::row_views_total(),
+        );
+        for (name, value) in counters {
             type_line(&mut out, name, "counter", &mut last_family);
-            let _ = writeln!(out, "{name} {}", c.value());
+            let _ = writeln!(out, "{name} {value}");
         }
         last_family.clear();
         for (name, g) in self.gauges.read().unwrap().iter() {

@@ -16,7 +16,11 @@
 //!   parallel across both columns and row chunks**. When the source engine
 //!   sits behind an emulated wire ([`crate::shims::LatencyShim`]), each
 //!   buffer's transfer is pipelined on its own stream, so wire time
-//!   overlaps codec work instead of adding to it;
+//!   overlaps codec work instead of adding to it. A stream is a
+//!   deadline, not a thread: a buffer's transfer runs from the moment it
+//!   is encoded, and whichever codec worker encoded it decodes it once it
+//!   has arrived — so a ship of small buffers needs no thread but the
+//!   caller's;
 //! * [`Transport::ZeroCopy`] — the co-resident fast path: the batch's
 //!   `Arc`-shared columns are handed over as-is. No encode, no decode, and
 //!   `wire_bytes` is honestly reported as 0 — nothing crossed any wire.
@@ -27,9 +31,10 @@ use bigdawg_common::{
     Batch, BigDawgError, Column, ColumnData, DataType, NullMask, Result, Row, Schema, Tracer, Value,
 };
 use bigdawg_stream::recovery::{read_value, write_value};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// How CAST ships rows between engines.
@@ -382,11 +387,16 @@ fn infer_text(text: &str) -> Value {
 // independent, which is what buys parallel encode/decode across both axes
 // and per-buffer transfer pipelining.
 
-/// Number of parallel encode/decode partitions.
+/// Number of parallel encode/decode partitions. Asked of the OS once:
+/// `available_parallelism` reads the affinity mask and the cgroup files on
+/// every call, tens of microseconds a ship.
 fn partitions() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().min(8))
-        .unwrap_or(4)
+    static PARTITIONS: OnceLock<usize> = OnceLock::new();
+    *PARTITIONS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get().min(8))
+            .unwrap_or(4)
+    })
 }
 
 const TAG_BOOL: u8 = 1;
@@ -607,6 +617,15 @@ fn assemble_columns(width: usize, parts: Vec<Column>) -> Vec<Column> {
         .collect()
 }
 
+/// Average payload per buffer below which a ship spawns no codec worker
+/// and the calling thread pipelines every buffer itself: at the codec's
+/// ~1 GB/s this is ~30 µs of work, what spawning and reaping one scoped
+/// thread costs (`pushdown_scan` ships 30–32 buffers of at most 8 kB; a
+/// thread for each was 1 ms of its 6.3 ms query — and each thread's exit
+/// is a TLB-shootdown interrupt whenever the process is on both CPUs, so
+/// `cpu_ms_per_query` read 1.5 or 3.1 ms from one run to the next).
+const STREAM_THREAD_MIN_BYTES: usize = 32 * 1024;
+
 /// Outcome of one pipelined (encode → transfer → decode) buffer.
 struct PartOutcome {
     column: Column,
@@ -666,61 +685,77 @@ fn ship_binary(batch: &Batch, wire: Duration) -> Result<(Batch, CastReport)> {
     // own, so the caller's is captured once and its deadline-aware sleep
     // shared — a cancellation wakes every in-flight transfer stream
     let ctx = bigdawg_common::deadline::current();
-    let run_task = |slot: usize, lo: usize, hi: usize| -> Result<PartOutcome> {
-        let j = slot % width;
-        let t0 = Instant::now();
-        let buf = encode_column_slice(batch.column_ref(j), lo, hi);
-        let encode = t0.elapsed();
-        if !wire.is_zero() {
-            // this buffer's own transfer stream; concurrent buffers overlap
-            match &ctx {
-                Some(c) => c.sleep(wire)?,
-                None => std::thread::sleep(wire),
+    let n_tasks = task_list.len();
+    let next = AtomicUsize::new(0);
+    // One worker's share. A buffer's transfer — its own stream, `wire`
+    // long — starts the moment it is encoded; the worker goes on encoding,
+    // decodes whatever has arrived in the meantime, and at the end waits
+    // for the rest. Transfers overlap each other and the codec work
+    // without a thread per stream.
+    let work = || -> Vec<(usize, Result<PartOutcome>)> {
+        let receive = |(slot, buf, encode, arrives): (usize, Vec<u8>, Duration, Instant)| {
+            let decoded = || -> Result<PartOutcome> {
+                if !wire.is_zero() {
+                    let left = arrives.saturating_duration_since(Instant::now());
+                    match &ctx {
+                        Some(c) => c.sleep(left)?,
+                        None => std::thread::sleep(left),
+                    }
+                }
+                let t1 = Instant::now();
+                let column = decode_column_part(&buf)?;
+                Ok(PartOutcome {
+                    column,
+                    bytes: buf.len(),
+                    encode,
+                    decode: t1.elapsed(),
+                })
+            };
+            (slot, decoded())
+        };
+        let mut in_flight = VecDeque::new();
+        let mut received = Vec::new();
+        while let Some(&(slot, lo, hi)) = task_list.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let t0 = Instant::now();
+            let buf = encode_column_slice(batch.column_ref(slot % width), lo, hi);
+            let encode = t0.elapsed();
+            in_flight.push_back((slot, buf, encode, Instant::now() + wire));
+            while in_flight
+                .front()
+                .is_some_and(|sent| sent.3 <= Instant::now())
+            {
+                received.extend(in_flight.pop_front().map(receive));
             }
         }
-        let t1 = Instant::now();
-        let column = decode_column_part(&buf)?;
-        let decode = t1.elapsed();
-        Ok(PartOutcome {
-            column,
-            bytes: buf.len(),
-            encode,
-            decode,
-        })
+        received.extend(in_flight.into_iter().map(receive));
+        received
     };
-
-    let n_tasks = task_list.len();
-    let workers = n_tasks.min(if wire.is_zero() { partitions() } else { 32 });
-    let outcomes: Vec<Option<Result<PartOutcome>>> = if workers <= 1 {
-        task_list
-            .iter()
-            .map(|&(slot, lo, hi)| Some(run_task(slot, lo, hi)))
-            .collect()
+    // The calling thread is always a worker. More are spawned only for
+    // buffers big enough to pay for a thread: a wired ship then runs one
+    // stream per thread, an in-process one a worker per core.
+    let workers = if batch.approx_bytes() / n_tasks < STREAM_THREAD_MIN_BYTES {
+        1
     } else {
-        let slots: Mutex<Vec<Option<Result<PartOutcome>>>> =
-            Mutex::new((0..n_tasks).map(|_| None).collect());
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(slot, lo, hi)) = task_list.get(i) else {
-                        break;
-                    };
-                    let out = run_task(slot, lo, hi);
-                    slots.lock().unwrap_or_else(|p| p.into_inner())[slot] = Some(out);
-                });
-            }
-        });
-        slots.into_inner().unwrap_or_else(|p| p.into_inner())
+        n_tasks.min(if wire.is_zero() { partitions() } else { 32 })
     };
+    let mut outcomes = std::thread::scope(|s| {
+        let others: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+        let mut outcomes = work();
+        for other in others {
+            let share = other.join();
+            outcomes.extend(share.unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        outcomes
+    });
+    // back into chunk-major order, whichever worker took which buffer
+    outcomes.sort_unstable_by_key(|&(slot, _)| slot);
 
     let mut parts = Vec::with_capacity(n_tasks);
     let mut wire_bytes = 0usize;
     let mut encode = Duration::ZERO;
     let mut decode = Duration::ZERO;
-    for outcome in outcomes {
-        let part = outcome.expect("every task slot filled")?;
+    for (_, outcome) in outcomes {
+        let part = outcome?;
         wire_bytes += part.bytes;
         encode = encode.max(part.encode);
         decode = decode.max(part.decode);
@@ -841,6 +876,47 @@ mod tests {
         assert!(
             report.total() >= wire,
             "the wire cannot be cheated: {:?}",
+            report.total()
+        );
+    }
+
+    #[test]
+    fn buffers_in_flight_share_the_wire_whatever_the_worker_count() {
+        // 30 small buffers (6 row chunks × 5 columns), so the calling
+        // thread is the only codec worker: sleeping out each transfer in
+        // turn would pay the wire once per buffer
+        let schema = Schema::from_pairs(&[
+            ("a", DataType::Int),
+            ("b", DataType::Int),
+            ("c", DataType::Float),
+            ("d", DataType::Text),
+            ("e", DataType::Bool),
+        ]);
+        let rows = (0..5000i64)
+            .map(|i| {
+                vec![
+                    Value::Int(i),
+                    if i % 9 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Int(-i)
+                    },
+                    Value::Float(i as f64 / 4.0),
+                    Value::Text(format!("row {i}")),
+                    Value::Bool(i % 2 == 0),
+                ]
+            })
+            .collect();
+        let b = Batch::new(schema, rows).unwrap();
+        let wire = Duration::from_millis(50);
+        let (back, report) = ship_with_wire(&b, Transport::Binary, wire).unwrap();
+        assert_eq!(back.rows(), b.rows());
+        assert_eq!(back.schema(), b.schema());
+        assert!(report.total() >= wire, "{:?}", report.total());
+        // one wire and a few milliseconds of codec; 30 wires if serial
+        assert!(
+            report.total() < 10 * wire,
+            "transfers must overlap: {:?}",
             report.total()
         );
     }

@@ -34,12 +34,7 @@ impl RelationalShim {
 
     /// Load a batch as a table (used by setup code and CAST).
     pub fn load_table(&mut self, name: &str, batch: Batch) -> Result<()> {
-        let (schema, rows) = batch.into_parts();
-        if !self.db.has_table(name) {
-            self.db.create_table(name, schema)?;
-        }
-        self.db.insert_rows(name, rows)?;
-        Ok(())
+        self.db.load_table(name, batch)
     }
 }
 
@@ -132,6 +127,36 @@ mod tests {
         assert_eq!(back.rows(), batch.rows());
         s.drop_object("imported").unwrap();
         assert!(s.get_table("imported").is_err());
+    }
+
+    #[test]
+    fn a_failed_landing_leaves_nothing_behind() {
+        let mut s = RelationalShim::new("pg");
+        s.execute_native("CREATE TABLE kept (x INT)").unwrap();
+        // the violation sits in the last row, after rows that would land
+        let text_under_int = Batch::new(
+            Schema::from_pairs(&[("n", DataType::Int)]),
+            vec![
+                vec![Value::Int(1)],
+                vec![Value::Int(2)],
+                vec![Value::Text("x".into())],
+            ],
+        )
+        .unwrap();
+        let err = s.put_table("tmp", text_under_int).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "type_error: column `n` of `tmp` expects int, got text"
+        );
+        let required = Schema::new(vec![bigdawg_common::Field::required("n", DataType::Int)]);
+        let null_under_not_null =
+            Batch::new(required, vec![vec![Value::Int(1)], vec![Value::Null]]).unwrap();
+        let err = s.put_table("tmp", null_under_not_null).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "schema_mismatch: column `n` of `tmp` is NOT NULL"
+        );
+        assert_eq!(s.object_names(), vec!["kept"]);
     }
 
     #[test]

@@ -141,33 +141,71 @@ impl Database {
 
     // ---- DML with index maintenance ---------------------------------------
 
-    /// Insert a row directly (bypassing SQL), maintaining indexes.
-    pub fn insert_row(&mut self, table: &str, row: Row) -> Result<RowId> {
+    /// `table` and its indexes, each with the position of the column it
+    /// keys on — resolved once per statement, not once per row.
+    fn writer(&mut self, table: &str) -> Result<(&mut Table, Vec<(usize, &mut Index)>)> {
         let t = self
             .tables
             .get_mut(table)
             .ok_or_else(|| BigDawgError::NotFound(format!("table `{table}`")))?;
-        let id = t.insert(row)?;
-        let inserted = t.get(id).expect("just inserted").clone();
-        let schema = t.schema().clone();
-        if let Some(ix_names) = self.table_indexes.get(table) {
-            for ix_name in ix_names.clone() {
-                if let Some(ix) = self.indexes.get_mut(&ix_name) {
-                    let col = schema.index_of(ix.column())?;
-                    ix.insert(inserted[col].clone(), id);
-                }
+        let names = self.table_indexes.get(table).map_or(&[][..], Vec::as_slice);
+        let mut indexes = Vec::with_capacity(names.len());
+        for (name, ix) in self.indexes.iter_mut() {
+            if names.contains(name) {
+                indexes.push((t.schema().index_of(ix.column())?, ix));
             }
         }
-        Ok(id)
+        Ok((t, indexes))
     }
 
-    /// Bulk insert without per-row index lookups of table name.
+    /// Insert a row directly (bypassing SQL), maintaining indexes.
+    pub fn insert_row(&mut self, table: &str, row: Row) -> Result<RowId> {
+        let (t, mut indexes) = self.writer(table)?;
+        insert_indexed(t, &mut indexes, row)
+    }
+
+    /// Bulk insert: the table and its indexes are resolved once.
     pub fn insert_rows(&mut self, table: &str, rows: Vec<Row>) -> Result<usize> {
+        let (t, mut indexes) = self.writer(table)?;
         let n = rows.len();
         for row in rows {
-            self.insert_row(table, row)?;
+            insert_indexed(t, &mut indexes, row)?;
         }
         Ok(n)
+    }
+
+    /// Load a batch as table `name`, created with the batch's schema when
+    /// absent — set-up loads and CAST landings. A batch whose columns an
+    /// empty, un-indexed table can keep as they are becomes the table's
+    /// columnar image (`Table::adopt`); any other goes through the
+    /// checked row-by-row insert. A failed load leaves no table behind
+    /// that it created itself.
+    pub fn load_table(&mut self, name: &str, batch: Batch) -> Result<()> {
+        let created = !self.tables.contains_key(name);
+        if created {
+            self.create_table(name, batch.schema().clone())?;
+        }
+        let indexed = self
+            .table_indexes
+            .get(name)
+            .is_some_and(|ix| !ix.is_empty());
+        let table = self.tables.get_mut(name).expect("present or just created");
+        let batch = if indexed {
+            batch
+        } else {
+            match table.adopt(batch) {
+                Ok(()) => return Ok(()),
+                Err(unfit) => unfit,
+            }
+        };
+        let rows = batch.into_rows(); // row-view-ok: row-path landing
+        let loaded = self.insert_rows(name, rows);
+        if created && loaded.is_err() {
+            // created above, so the drop finds it; the load's error is
+            // the one to report
+            let _ = self.drop_table(name);
+        }
+        loaded.map(drop)
     }
 
     fn delete_where(&mut self, table: &str, predicate: Option<&Expr>) -> Result<usize> {
@@ -395,6 +433,17 @@ impl Database {
     pub fn run_plan(&self, plan: &Plan) -> Result<Batch> {
         execute(self, plan)
     }
+}
+
+/// Insert `row` into `t` and key it into each of `indexes` — only the
+/// indexed cells are cloned, as stored (coercion may have changed them).
+fn insert_indexed(t: &mut Table, indexes: &mut [(usize, &mut Index)], row: Row) -> Result<RowId> {
+    let id = t.insert(row)?;
+    for (col, ix) in indexes {
+        let key = t.value_at(id, *col).expect("just inserted");
+        ix.insert(key.clone(), id);
+    }
+    Ok(id)
 }
 
 fn schema_from_defs(defs: &[ColumnDef]) -> Schema {

@@ -454,11 +454,34 @@ impl Expr {
         }
     }
 
-    /// The fallback behind [`Expr::truth`]: [`Expr::eval`] per row, over a
-    /// mini-row of only the columns the expression references. A column the
-    /// batch lacks is left out, so `eval` reports it if and when a row
-    /// reaches it.
+    /// The fallback behind [`Expr::truth`]: [`Expr::verdict`] per row.
     fn truth_by_row(&self, batch: &Batch, rows: &[usize]) -> Result<Vec<Option<bool>>> {
+        self.by_row(batch, rows, |schema, row| self.verdict(schema, row))
+    }
+
+    /// This expression's value on every row of `batch` — a projected or
+    /// sort-key column. A plain column reference reads its column; any
+    /// other shape is [`Expr::eval`] per row, and `Err` exactly when `eval`
+    /// fails on some row.
+    pub fn eval_batch(&self, batch: &Batch) -> Result<Vec<Value>> {
+        if let Expr::Column(name) = self {
+            if let Ok(i) = batch.schema().index_of(name) {
+                return Ok(batch.column_ref(i).values());
+            }
+        }
+        let rows: Vec<usize> = (0..batch.len()).collect();
+        self.by_row(batch, &rows, |schema, row| self.eval(schema, row))
+    }
+
+    /// `f` on each of `rows`, handed as a mini-row of only the columns this
+    /// expression references. A column the batch lacks is left out, so
+    /// `eval` reports it if and when a row reaches it.
+    fn by_row<T>(
+        &self,
+        batch: &Batch,
+        rows: &[usize],
+        f: impl Fn(&Schema, &Row) -> Result<T>,
+    ) -> Result<Vec<T>> {
         let mut cols: Vec<usize> = (self.columns().into_iter())
             .filter_map(|c| batch.schema().index_of(c).ok())
             .collect();
@@ -469,7 +492,7 @@ impl Expr {
         rows.iter()
             .map(|&i| {
                 let row: Row = cols.iter().map(|&c| batch.value_at(i, c)).collect();
-                self.verdict(&schema, &row)
+                f(&schema, &row)
             })
             .collect()
     }

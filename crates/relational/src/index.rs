@@ -80,11 +80,13 @@ impl Index {
 
     /// Row ids with key in the given bounds.
     pub fn range(&self, low: Bound<&Value>, high: Bound<&Value>) -> Vec<RowId> {
-        // BTreeMap panics on inverted ranges; produce an empty result instead.
+        // BTreeMap panics on inverted ranges, and on an empty one excluded
+        // at both ends; produce an empty result instead.
         if let (Bound::Included(l) | Bound::Excluded(l), Bound::Included(h) | Bound::Excluded(h)) =
             (low, high)
         {
-            if l > h {
+            let open = matches!((low, high), (Bound::Excluded(_), Bound::Excluded(_)));
+            if l > h || (l == h && open) {
                 return Vec::new();
             }
         }
@@ -142,6 +144,9 @@ mod tests {
             Bound::Included(&Value::Int(54)),
         );
         assert!(ids.is_empty());
+        let at = Value::Int(54);
+        let ids = ix.range(Bound::Excluded(&at), Bound::Excluded(&at));
+        assert!(ids.is_empty(), "so is (54, 54)");
     }
 
     #[test]

@@ -397,7 +397,7 @@ fn item_name(expr: &Expr, idx: usize) -> String {
 }
 
 /// Qualify every field name with `q.` when a qualifier is present.
-fn qualified_schema(schema: &Schema, qualifier: &Option<String>) -> Schema {
+pub(crate) fn qualified_schema(schema: &Schema, qualifier: &Option<String>) -> Schema {
     match qualifier {
         None => schema.clone(),
         Some(q) => Schema::from_pairs(

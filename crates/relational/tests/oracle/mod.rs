@@ -1,23 +1,15 @@
-//! Batch-to-batch plan execution.
-//!
-//! Each node consumes its children's full output as a columnar [`Batch`]
-//! and produces one: a full scan is the table's columnar image, predicates
-//! run through [`Expr::select`] into a selection vector, the hash join
-//! emits two index vectors (its residual tested on a bounded block of
-//! candidate pairs at a time), `ORDER BY` sorts a permutation — and only
-//! then are the kept cells gathered, each column in its own typed layout
-//! ([`Batch::filter`]). A projection of plain column references shares its
-//! input's columns. Rows are built only where a row id is the interface —
-//! an index probe reads the heap — and as the input of `Aggregate`.
+//! The row-at-a-time executor `relational/src/exec.rs` was until it went
+//! batch-to-batch, kept verbatim as the reference the differential tests
+//! compare the columnar executor against: every node clones its input rows
+//! out of the heap and evaluates expressions one row at a time.
 
-use crate::db::Database;
-use crate::expr::{AggFunc, Expr};
-use crate::plan::{Access, AggSpec, Plan};
-use crate::planner::qualified_schema;
 use bigdawg_common::value::GroupKey;
-use bigdawg_common::{Batch, BigDawgError, Column, DataType, Result, Row, Schema, Value};
+use bigdawg_common::{Batch, BigDawgError, Result, Row, Schema, Value};
+use bigdawg_relational::db::Database;
+use bigdawg_relational::expr::{AggFunc, Expr};
+use bigdawg_relational::plan::{Access, AggSpec, Plan};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::ops::Bound;
 
 /// Execute a plan against `db`, producing a batch.
 pub fn execute(db: &Database, plan: &Plan) -> Result<Batch> {
@@ -29,7 +21,17 @@ pub fn execute(db: &Database, plan: &Plan) -> Result<Batch> {
             access,
             predicate,
         } => scan(db, table, qualifier, access, predicate),
-        Plan::Filter { input, predicate } => keep(execute(db, input)?, predicate),
+        Plan::Filter { input, predicate } => {
+            let batch = execute(db, input)?;
+            let (schema, rows) = batch.into_parts();
+            let mut kept = Vec::new();
+            for row in rows {
+                if predicate.matches(&schema, &row)? {
+                    kept.push(row);
+                }
+            }
+            Batch::new(schema, kept)
+        }
         Plan::Join {
             left,
             right,
@@ -44,45 +46,53 @@ pub fn execute(db: &Database, plan: &Plan) -> Result<Batch> {
         } => aggregate(db, input, group_by, aggs, having),
         Plan::Project { input, exprs } => {
             let batch = execute(db, input)?;
-            // untyped: CAST narrows the fields to what the columns hold
-            let schema = untyped(exprs.iter().map(|(_, name)| name));
-            let columns = exprs
-                .iter()
-                .map(|(e, _)| {
-                    let shared = match e {
-                        Expr::Column(name) => batch.schema().index_of(name).ok(),
-                        _ => None,
-                    };
-                    Ok(match shared {
-                        Some(i) => batch.columns()[i].clone(),
-                        None => Arc::new(Column::from_values(e.eval_batch(&batch)?)),
-                    })
-                })
-                .collect::<Result<_>>()?;
-            Batch::from_shared_columns(schema, columns)
+            let (schema, rows) = batch.into_parts();
+            let out_schema = Schema::from_pairs(
+                &exprs
+                    .iter()
+                    .map(|(_, n)| (n.as_str(), bigdawg_common::DataType::Null))
+                    .collect::<Vec<_>>(),
+            );
+            let mut out = Vec::with_capacity(rows.len());
+            for row in &rows {
+                let mut new_row = Vec::with_capacity(exprs.len());
+                for (e, _) in exprs {
+                    new_row.push(e.eval(&schema, row)?);
+                }
+                out.push(new_row);
+            }
+            Batch::new(out_schema, out)
         }
         Plan::Distinct { input } => {
             let batch = execute(db, input)?;
-            let mut seen: HashSet<Vec<GroupKey>> = HashSet::with_capacity(batch.len());
-            let first: Vec<usize> = (0..batch.len())
-                .filter(|&i| {
-                    let cells = batch.columns().iter().map(|c| c.value(i).group_key());
-                    seen.insert(cells.collect())
-                })
-                .collect();
-            Ok(batch.filter(&first))
+            let (schema, rows) = batch.into_parts();
+            let mut seen: HashSet<Vec<GroupKey>> = HashSet::with_capacity(rows.len());
+            let mut out = Vec::new();
+            for row in rows {
+                let key: Vec<GroupKey> = row.iter().map(Value::group_key).collect();
+                if seen.insert(key) {
+                    out.push(row);
+                }
+            }
+            Batch::new(schema, out)
         }
         Plan::Sort { input, keys } => {
             let batch = execute(db, input)?;
-            let columns: Vec<Vec<Value>> = keys
-                .iter()
-                .map(|(e, _)| e.eval_batch(&batch))
+            let (schema, rows) = batch.into_parts();
+            // Decorate-sort-undecorate: evaluate keys once per row.
+            let mut decorated: Vec<(Vec<Value>, Row)> = rows
+                .into_iter()
+                .map(|row| {
+                    let key = keys
+                        .iter()
+                        .map(|(e, _)| e.eval(&schema, &row))
+                        .collect::<Result<Vec<_>>>()?;
+                    Ok((key, row))
+                })
                 .collect::<Result<_>>()?;
-            let mut order: Vec<usize> = (0..batch.len()).collect();
-            // stable: rows with equal keys keep their input order
-            order.sort_by(|&a, &b| {
-                for (column, (_, desc)) in columns.iter().zip(keys) {
-                    let ord = column[a].cmp(&column[b]);
+            decorated.sort_by(|(ka, _), (kb, _)| {
+                for ((a, b), (_, desc)) in ka.iter().zip(kb).zip(keys) {
+                    let ord = a.cmp(b);
                     let ord = if *desc { ord.reverse() } else { ord };
                     if !ord.is_eq() {
                         return ord;
@@ -90,25 +100,15 @@ pub fn execute(db: &Database, plan: &Plan) -> Result<Batch> {
                 }
                 std::cmp::Ordering::Equal
             });
-            Ok(batch.filter(&order))
+            Batch::new(schema, decorated.into_iter().map(|(_, r)| r).collect())
         }
         Plan::Limit { input, n } => {
             let batch = execute(db, input)?;
-            let head: Vec<usize> = (0..batch.len().min(*n)).collect();
-            Ok(batch.filter(&head))
+            let (schema, mut rows) = batch.into_parts();
+            rows.truncate(*n);
+            Batch::new(schema, rows)
         }
     }
-}
-
-/// The rows of `batch` that `predicate` holds on.
-fn keep(batch: Batch, predicate: &Expr) -> Result<Batch> {
-    Ok(batch.filter(&predicate.select(&batch)?))
-}
-
-/// A schema of untyped fields with these names.
-fn untyped<'a>(names: impl Iterator<Item = &'a String>) -> Schema {
-    let pairs: Vec<(&str, DataType)> = names.map(|n| (n.as_str(), DataType::Null)).collect();
-    Schema::from_pairs(&pairs)
 }
 
 fn scan(
@@ -119,111 +119,61 @@ fn scan(
     predicate: &Option<Expr>,
 ) -> Result<Batch> {
     let t = db.table(table)?;
-    let schema = qualified_schema(t.schema(), qualifier);
-
-    // an index probe answers in row ids, so it reads the heap
-    let fetch = |ids: Vec<usize>| -> Vec<Row> {
-        ids.into_iter()
-            .filter_map(|id| t.get(id).cloned())
-            .collect()
+    let schema = match qualifier {
+        None => t.schema().clone(),
+        Some(q) => Schema::from_pairs(
+            &t.schema()
+                .fields()
+                .iter()
+                .map(|f| (format!("{q}.{}", f.name), f.data_type))
+                .collect::<Vec<_>>()
+                .iter()
+                .map(|(n, ty)| (n.as_str(), *ty))
+                .collect::<Vec<_>>(),
+        ),
     };
-    let batch = match access {
-        Access::FullScan => Batch::from_shared_columns(schema, t.snapshot().columns().to_vec())?,
+
+    let candidate_rows: Vec<Row> = match access {
+        Access::FullScan => t.iter().map(|(_, r)| r.clone()).collect(),
         Access::IndexEq { index, key } => {
-            Batch::from_parts_trusted(schema, fetch(db.index(index)?.get(key)))
+            let ix = db.index(index)?;
+            ix.get(key)
+                .into_iter()
+                .filter_map(|id| t.get(id).cloned())
+                .collect()
         }
         Access::IndexRange { index, low, high } => {
-            let ids = db.index(index)?.range(low.as_ref(), high.as_ref());
-            Batch::from_parts_trusted(schema, fetch(ids))
+            let ix = db.index(index)?;
+            let low = match low {
+                Bound::Included(v) => Bound::Included(v),
+                Bound::Excluded(v) => Bound::Excluded(v),
+                Bound::Unbounded => Bound::Unbounded,
+            };
+            let high = match high {
+                Bound::Included(v) => Bound::Included(v),
+                Bound::Excluded(v) => Bound::Excluded(v),
+                Bound::Unbounded => Bound::Unbounded,
+            };
+            ix.range(low, high)
+                .into_iter()
+                .filter_map(|id| t.get(id).cloned())
+                .collect()
         }
     };
-    match predicate {
-        None => Ok(batch),
-        Some(p) => keep(batch, p),
-    }
-}
 
-/// The columns of `batch` with these names.
-fn key_columns<'a>(
-    batch: &'a Batch,
-    names: impl Iterator<Item = &'a String>,
-) -> Result<Vec<&'a Column>> {
-    names
-        .map(|name| Ok(batch.column_ref(batch.schema().index_of(name)?)))
-        .collect()
-}
-
-/// Fill `key` with the join key of row `i`, one cell per key column;
-/// `false` when any is NULL (NULL never joins). Cells are compared as
-/// [`GroupKey`]s, so an `Int` key never equals a `Float` one.
-fn join_key(columns: &[&Column], i: usize, key: &mut Vec<GroupKey>) -> bool {
-    key.clear();
-    for column in columns {
-        match column.value(i).group_key() {
-            GroupKey::Null => return false,
-            cell => key.push(cell),
+    let rows = match predicate {
+        None => candidate_rows,
+        Some(p) => {
+            let mut kept = Vec::new();
+            for row in candidate_rows {
+                if p.matches(&schema, &row)? {
+                    kept.push(row);
+                }
+            }
+            kept
         }
-    }
-    true
-}
-
-/// How many candidate pairs a join holds before testing them against its
-/// residual.
-const RESIDUAL_BLOCK: usize = 4096;
-
-/// The (left row, right row) pairs a join emits, in emission order. With a
-/// residual, candidates are gathered and tested a bounded block at a time
-/// and only the survivors stay, so a selective theta join holds its
-/// matches, never its cartesian product.
-struct Pairs<'a> {
-    left: &'a Batch,
-    right: &'a Batch,
-    residual: &'a Option<Expr>,
-    schema: Schema,
-    lrows: Vec<usize>,
-    rrows: Vec<usize>,
-    /// The pairs before this position have passed the residual.
-    tested: usize,
-}
-
-impl Pairs<'_> {
-    fn push(&mut self, l: usize, r: usize) -> Result<()> {
-        self.lrows.push(l);
-        self.rrows.push(r);
-        if self.residual.is_some() && self.lrows.len() - self.tested >= RESIDUAL_BLOCK {
-            self.test()?;
-        }
-        Ok(())
-    }
-
-    /// The joined rows of the pairs from position `from` on.
-    fn gather(&self, from: usize) -> Result<Batch> {
-        let mut columns = self.left.filter(&self.lrows[from..]).columns().to_vec();
-        columns.extend_from_slice(self.right.filter(&self.rrows[from..]).columns());
-        Batch::from_shared_columns(self.schema.clone(), columns)
-    }
-
-    /// Drop the untested pairs the residual does not hold on.
-    fn test(&mut self) -> Result<()> {
-        let Some(residual) = self.residual else {
-            return Ok(());
-        };
-        let kept = residual.select(&self.gather(self.tested)?)?;
-        // `kept` ascends, so each survivor moves down onto a spent slot
-        for (k, &i) in kept.iter().enumerate() {
-            self.lrows[self.tested + k] = self.lrows[self.tested + i];
-            self.rrows[self.tested + k] = self.rrows[self.tested + i];
-        }
-        self.tested += kept.len();
-        self.lrows.truncate(self.tested);
-        self.rrows.truncate(self.tested);
-        Ok(())
-    }
-
-    fn finish(mut self) -> Result<Batch> {
-        self.test()?;
-        self.gather(0)
-    }
+    };
+    Batch::new(schema, rows)
 }
 
 fn join(
@@ -235,44 +185,67 @@ fn join(
 ) -> Result<Batch> {
     let lbatch = execute(db, left)?;
     let rbatch = execute(db, right)?;
-    // left order, then right order
-    let mut pairs = Pairs {
-        left: &lbatch,
-        right: &rbatch,
-        residual,
-        schema: lbatch.schema().join(rbatch.schema()),
-        lrows: Vec::new(),
-        rrows: Vec::new(),
-        tested: 0,
-    };
+    let out_schema = lbatch.schema().join(rbatch.schema());
+    let mut out_rows: Vec<Row> = Vec::new();
+
     if equi.is_empty() {
-        // Nested-loop cross join.
-        for l in 0..lbatch.len() {
-            for r in 0..rbatch.len() {
-                pairs.push(l, r)?;
+        // Nested-loop cross join with residual filter.
+        for lrow in lbatch.rows() {
+            for rrow in rbatch.rows() {
+                let mut row = lrow.clone();
+                row.extend(rrow.iter().cloned());
+                if match residual {
+                    Some(p) => p.matches(&out_schema, &row)?,
+                    None => true,
+                } {
+                    out_rows.push(row);
+                }
             }
         }
     } else {
         // Hash join: build on the right side.
-        let lcols = key_columns(&lbatch, equi.iter().map(|(l, _)| l))?;
-        let rcols = key_columns(&rbatch, equi.iter().map(|(_, r)| r))?;
-        let mut key = Vec::with_capacity(equi.len());
-        let mut built: HashMap<Vec<GroupKey>, Vec<usize>> = HashMap::new();
-        for r in 0..rbatch.len() {
-            if join_key(&rcols, r, &mut key) {
-                built.entry(key.clone()).or_default().push(r);
+        let lcols: Vec<usize> = equi
+            .iter()
+            .map(|(l, _)| lbatch.schema().index_of(l))
+            .collect::<Result<_>>()?;
+        let rcols: Vec<usize> = equi
+            .iter()
+            .map(|(_, r)| rbatch.schema().index_of(r))
+            .collect::<Result<_>>()?;
+        let mut built: HashMap<Vec<GroupKey>, Vec<&Row>> = HashMap::new();
+        'rrows: for rrow in rbatch.rows() {
+            let mut key = Vec::with_capacity(rcols.len());
+            for &c in &rcols {
+                if rrow[c].is_null() {
+                    continue 'rrows; // NULL never joins
+                }
+                key.push(rrow[c].group_key());
             }
+            built.entry(key).or_default().push(rrow);
         }
-        for l in 0..lbatch.len() {
-            if !join_key(&lcols, l, &mut key) {
-                continue;
+        'lrows: for lrow in lbatch.rows() {
+            let mut key = Vec::with_capacity(lcols.len());
+            for &c in &lcols {
+                if lrow[c].is_null() {
+                    continue 'lrows;
+                }
+                key.push(lrow[c].group_key());
             }
-            for &r in built.get(key.as_slice()).into_iter().flatten() {
-                pairs.push(l, r)?;
+            if let Some(matches) = built.get(&key) {
+                for rrow in matches {
+                    let mut row = lrow.clone();
+                    row.extend(rrow.iter().cloned());
+                    if match residual {
+                        Some(p) => p.matches(&out_schema, &row)?,
+                        None => true,
+                    } {
+                        out_rows.push(row);
+                    }
+                }
             }
         }
     }
-    pairs.finish()
+    Batch::new(out_schema, out_rows)
 }
 
 /// Incremental aggregate state.
@@ -417,8 +390,7 @@ fn aggregate(
     having: &Option<Expr>,
 ) -> Result<Batch> {
     let batch = execute(db, input)?;
-    let in_schema = batch.schema();
-    let rows = batch.rows(); // row-view-ok: aggregate input
+    let (in_schema, rows) = batch.into_parts();
 
     let mut groups: HashMap<Vec<GroupKey>, (Row, GroupState)> = HashMap::new();
     // A global aggregate (no GROUP BY) over zero rows must still produce one
@@ -439,10 +411,10 @@ fn aggregate(
         );
     }
 
-    for row in rows {
+    for row in &rows {
         let mut key_vals = Vec::with_capacity(group_by.len());
         for (e, _) in group_by {
-            key_vals.push(e.eval(in_schema, row)?);
+            key_vals.push(e.eval(&in_schema, row)?);
         }
         let key: Vec<GroupKey> = key_vals.iter().map(Value::group_key).collect();
         let entry = groups.entry(key).or_insert_with(|| {
@@ -460,7 +432,7 @@ fn aggregate(
         for (i, (spec, _)) in aggs.iter().enumerate() {
             let v = match &spec.arg {
                 None => Value::Int(1), // COUNT(*): every row counts
-                Some(a) => a.eval(in_schema, row)?,
+                Some(a) => a.eval(&in_schema, row)?,
             };
             // SQL semantics: aggregates skip NULL inputs (except COUNT(*)).
             if spec.arg.is_some() && v.is_null() {
@@ -475,8 +447,14 @@ fn aggregate(
         }
     }
 
-    let group_names = group_by.iter().map(|(_, name)| name);
-    let out_schema = untyped(group_names.chain(aggs.iter().map(|(_, name)| name)));
+    let mut pairs: Vec<(&str, bigdawg_common::DataType)> = Vec::new();
+    for (_, name) in group_by {
+        pairs.push((name.as_str(), bigdawg_common::DataType::Null));
+    }
+    for (_, name) in aggs {
+        pairs.push((name.as_str(), bigdawg_common::DataType::Null));
+    }
+    let out_schema = Schema::from_pairs(&pairs);
 
     let mut out_rows = Vec::with_capacity(groups.len());
     for (_, (key_vals, state)) in groups {
