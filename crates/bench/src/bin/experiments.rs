@@ -46,8 +46,26 @@ fn main() {
         }
     }
     if want("e1") {
-        let results = onesize::run(4_000 * scale, 2_000 * scale).expect("E1 runs");
+        let run = || onesize::run(4_000 * scale, 2_000 * scale).expect("E1 runs");
+        let results = run();
         println!("{}", onesize::table(&results));
+        if quick {
+            // bound: the specialized engine wins each of its three classes
+            // by ≥ 5×. Each ratio is one short timed shot per engine, and
+            // one preemption can halve it: judged on the best of three runs
+            let runs = [results, run(), run()];
+            for class in ["streaming", "waveform", "text"] {
+                let of = |run: &Vec<onesize::WorkloadResult>| {
+                    let result = run.iter().find(|r| r.name.starts_with(class));
+                    result.expect("E1 runs every class").speedup()
+                };
+                let best = runs.iter().map(of).fold(f64::MIN, f64::max);
+                assert!(
+                    best > 5.0,
+                    "E1: {class} speedup {best:.1}× below the 5× floor"
+                );
+            }
+        }
     }
     if want("e2") {
         let r = tupleware_exp::run(200_000 * scale);
@@ -58,8 +76,21 @@ fn main() {
         println!("{}", streaming::table(&r));
     }
     if want("e4") {
-        let r = cast_exp::run(&demo).expect("E4 runs");
+        let run = || cast_exp::run(&demo).expect("E4 runs");
+        let r = run();
         println!("{}", cast_exp::table(&r));
+        if quick {
+            // bound: the binary transport beats the CSV file on the
+            // waveform CAST. Best of three per transport: one shot of a
+            // sub-millisecond CAST loses to a scheduler hiccup
+            let waves = [r, run(), run()].map(|mut objects| objects.remove(0));
+            let binary = waves.iter().map(|w| w.binary.total()).min();
+            let file = waves.iter().map(|w| w.file.total()).min();
+            assert!(
+                binary < file,
+                "E4: binary {binary:?} must beat CSV {file:?}"
+            );
+        }
     }
     if want("e5") {
         let r = seedb_exp::run(&demo, 3).expect("E5 runs");
@@ -82,8 +113,27 @@ fn main() {
         println!("{}", anomaly_exp::table(&r));
     }
     if want("e10") {
-        let r = coupling::run(if quick { 96 } else { 256 }).expect("E10 runs");
+        let run = || coupling::run(if quick { 96 } else { 256 }).expect("E10 runs");
+        let r = run();
         println!("{}", coupling::table(&r));
+        if quick {
+            // bounds: the tight path skips the conversion, so its matmul
+            // is under 1.5× the loose one (kernel noise) and its sum under
+            // 3×. Best of three per timing, as above
+            let runs = [r, run(), run()];
+            let best = |timing: fn(&coupling::CouplingResult) -> std::time::Duration| {
+                runs.iter().map(timing).min().expect("three runs")
+            };
+            let (tight, loose) = (best(|r| r.tight_matmul), best(|r| r.loose_matmul));
+            assert!(
+                tight < loose + loose / 2,
+                "E10: tight matmul {tight:?} vs loose {loose:?}"
+            );
+            assert!(
+                best(|r| r.tight_sum) <= best(|r| r.loose_sum) * 3,
+                "E10: tight sum over 3× the loose one"
+            );
+        }
     }
     if want("e11") {
         let wire = std::time::Duration::from_millis(if quick { 2 } else { 5 });

@@ -123,26 +123,18 @@ pub fn table(r: &CouplingResult) -> Table {
 mod tests {
     use super::*;
 
+    /// The deterministic half of E10: the loose path pays a format
+    /// conversion the tight path does not have (and `run` itself checks
+    /// the two products agree). How tight compares with loose is a
+    /// wall-clock ratio — `experiments --quick e10` asserts it.
     #[test]
     fn conversion_tax_is_real() {
-        // best of three per timing: one shot of a millisecond kernel loses
-        // to a scheduler hiccup on a shared two-core box
-        let runs: Vec<CouplingResult> = (0..3).map(|_| run(96).unwrap()).collect();
-        let best = |timing: fn(&CouplingResult) -> Duration| {
-            let fastest = runs.iter().map(timing).min();
-            fastest.expect("three runs")
-        };
+        let r = run(96).unwrap();
+        assert_eq!(r.n, 96);
+        assert!(r.conversion > Duration::ZERO, "conversion costs something");
         assert!(
-            best(|r| r.conversion) > Duration::ZERO,
-            "format conversion costs something"
+            r.conversion < r.loose_matmul,
+            "and is part of the loose path"
         );
-        // the tight path skips the conversion entirely, so it must not be
-        // slower than loose by more than the kernel noise
-        let (tight, loose) = (best(|r| r.tight_matmul), best(|r| r.loose_matmul));
-        assert!(
-            tight < loose + loose / 2,
-            "tight {tight:?} vs loose {loose:?}"
-        );
-        assert!(best(|r| r.tight_sum) <= best(|r| r.loose_sum) * 3);
     }
 }

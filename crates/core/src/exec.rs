@@ -40,7 +40,7 @@
 
 use crate::cast::Transport;
 use crate::monitor::EngineHealth;
-use crate::polystore::BigDawg;
+use crate::polystore::{add_lock_wait, lock_wait_on_this_thread, BigDawg};
 use crate::scope;
 use bigdawg_common::deadline;
 use bigdawg_common::{Batch, BigDawgError, HedgeStats, Result};
@@ -243,6 +243,10 @@ pub struct LeafMetrics {
     pub retries: u32,
     /// Leaf wall time: source read (or sub-query), ship, and target write.
     pub wall: Duration,
+    /// The part of `wall` spent *acquiring* engine mutexes — contention
+    /// with other leaves and other clients, not the engines' own work.
+    /// Counted on the leaf's thread and the leaves of its nested scatter.
+    pub lock_wait: Duration,
     /// Why a rewrite pushed below this leaf did not run (`parse`,
     /// `missing_column`, `eval_error`, `projection_noop`); empty when every
     /// pushed rewrite applied.
@@ -252,7 +256,7 @@ pub struct LeafMetrics {
 /// An executed [`Plan`] annotated with measurements — what
 /// [`crate::BigDawg::explain_analyze`] returns. The `Display` impl renders
 /// the same DAG as [`Plan`]'s, each leaf line carrying its measured rows,
-/// wire bytes, transport, retry count, and wall time, and elided casts
+/// wire bytes, transport, retry count, wall time and lock wait, and elided casts
 /// keeping their `placed … cast elided` markers.
 #[derive(Debug, Clone)]
 pub struct AnalyzedPlan {
@@ -301,13 +305,14 @@ impl fmt::Display for AnalyzedPlan {
             };
             writeln!(
                 f,
-                " [{}]  ({} rows, {} wire bytes, {} retr{}, {:?})",
+                " [{}]  ({} rows, {} wire bytes, {} retr{}, {:?}, lock wait {:?})",
                 m.transport,
                 m.rows,
                 m.wire_bytes,
                 m.retries,
                 if m.retries == 1 { "y" } else { "ies" },
-                m.wall
+                m.wall,
+                m.lock_wait
             )?;
             // a lenient fallback is never silent, and plans whose rewrites
             // all applied render unchanged
@@ -493,14 +498,20 @@ fn scatter(bd: &BigDawg, leaves: &[Leaf]) -> Result<Vec<LeafMetrics>> {
             });
             match failure.into_inner().unwrap_or_else(|p| p.into_inner()) {
                 Some(e) => Err(e),
-                None => Ok(runs
-                    .into_iter()
-                    .map(|m| {
-                        m.into_inner()
-                            .unwrap_or_else(|p| p.into_inner())
-                            .expect("no failure recorded, so every leaf ran")
-                    })
-                    .collect()),
+                None => {
+                    let runs: Vec<LeafMetrics> = runs
+                        .into_iter()
+                        .map(|m| {
+                            m.into_inner()
+                                .unwrap_or_else(|p| p.into_inner())
+                                .expect("no failure recorded, so every leaf ran")
+                        })
+                        .collect();
+                    // what the workers waited counts against this thread
+                    // too: an enclosing leaf reports its sub-DAG's waits
+                    add_lock_wait(runs.iter().map(|m| m.lock_wait).sum());
+                    Ok(runs)
+                }
             }
         }
     }
@@ -536,6 +547,7 @@ fn run_leaf(bd: &BigDawg, leaf: &Leaf, schedule: Schedule, parent: u64) -> Resul
     deadline::check_current()?;
     let _leaf_span = bd.tracer().span_under(parent, "exec.leaf", LeafLabel(leaf));
     let started = Instant::now();
+    let lock_wait_before = lock_wait_on_this_thread();
     let result = (|| {
         let (report, retries, pushdown_skipped) = match &leaf.source {
             LeafSource::Object(object) => bd.cast_object_attempts(
@@ -563,6 +575,7 @@ fn run_leaf(bd: &BigDawg, leaf: &Leaf, schedule: Schedule, parent: u64) -> Resul
             transport: report.transport,
             retries,
             wall: started.elapsed(),
+            lock_wait: lock_wait_on_this_thread() - lock_wait_before,
             pushdown_skipped,
         })
     })();

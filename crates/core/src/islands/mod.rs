@@ -22,7 +22,7 @@ pub mod text;
 use crate::cast::Transport;
 use crate::catalog::ObjectEntry;
 use crate::monitor::QueryClass;
-use crate::polystore::BigDawg;
+use crate::polystore::{BigDawg, EngineOp};
 use crate::retry;
 use crate::shim::{EngineKind, Shim};
 use bigdawg_common::{Batch, BigDawgError, Result};
@@ -79,7 +79,8 @@ impl Gather<'_> {
         Ok(Some(tmp))
     }
 
-    /// Run the gather under the engine's lock. A `not_found` after a
+    /// Run the gather under the engine's lock — on the downcast engine
+    /// itself, so no wire is crossed. A `not_found` after a
     /// placement-dependent resolve (a co-located read raced an
     /// invalidation, a routed write raced a move) marks the attempt raced.
     /// Only a success feeds the cost model, recorded against `object`: a
@@ -92,7 +93,7 @@ impl Gather<'_> {
         let started = Instant::now();
         let result = self
             .bd
-            .engine_call(&self.engine, "native", "island.execute", |shim| {
+            .engine_call(&self.engine, EngineOp::IslandGather, |shim| {
                 call(&self.engine, shim)
             });
         match (&result, object) {
@@ -187,18 +188,20 @@ pub fn dispatch(bd: &BigDawg, island: &str, body: &str) -> Result<Batch> {
                 // a degenerate island has exactly one engine, so there is
                 // no failover — but transient failures still retry under
                 // the policy and feed the engine's circuit breaker
-                let out = retry::with_retry_observed(
+                retry::with_retry_observed(
                     &bd.retry_policy(),
                     retry::stable_hash(&engine),
                     Some(&bd.retry_observer("island")),
                     |_| {
-                        bd.engine_call(&engine, "native", "engine.native", |shim| {
-                            shim.execute_native(body)
+                        bd.engine_call(&engine, EngineOp::Native, |shim| {
+                            let out = shim.execute_native(body);
+                            // native DDL may have created objects — on this
+                            // engine only, and its lock is already held
+                            bd.refresh_engine(shim);
+                            out
                         })
                     },
-                );
-                bd.refresh_catalog(); // native DDL may have created objects
-                out
+                )
             } else {
                 Err(BigDawgError::NotFound(format!(
                     "island or engine `{island}`"

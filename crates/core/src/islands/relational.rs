@@ -14,6 +14,36 @@
 //! *primary* engine and followed by replica invalidation
 //! ([`BigDawg::note_write`]), so a migrated-then-written object never
 //! serves stale replica data.
+//!
+//! # A write against a read that is on the wire
+//!
+//! A remote read runs resolve → wire → lock → read: the placement is
+//! resolved, the request hop is slept with *no* lock held, and only then
+//! is the source engine's mutex taken (`BigDawg::engine_call`). A write
+//! can therefore land while a reader is on the wire. The write still
+//! invalidates replicas inside its primary's critical section (below),
+//! and that keeps every outcome correct:
+//!
+//! * The reader resolved to the **primary**: the engine's mutex orders
+//!   it against the write — it reads the table before the write or after
+//!   it, never half of it.
+//! * The reader resolved to a **replica**: the write un-catalogs the
+//!   replica under the primary's lock and then drops the copy under the
+//!   replica engine's own lock. A reader that arrives after the drop gets
+//!   `not_found`, which the re-resolve loops (`islands::gather`,
+//!   `BigDawg::cast_object`) retry against the new placement — the
+//!   primary, which has the write. A reader that arrives before the drop
+//!   (or finds a copy whose drop was refused, an orphan) reads pre-write
+//!   rows — for a read that began before the write was acknowledged, which
+//!   is a legal order; no read that *resolves* after the write can be
+//!   routed there, because the catalog stopped referencing the copy
+//!   before the primary's lock was released.
+//! * A **placement copy** on the wire during the write carries the epoch
+//!   it resolved at; the write bumped it, so `place`'s commit-time epoch
+//!   check aborts and the copy of (possibly) pre-write rows is discarded.
+//! * The **result cache** snapshots epochs at plan time, before any hop:
+//!   an answer computed around a write is admitted under the old epoch
+//!   and dropped as stale on its next lookup — never served after it.
 
 use crate::monitor::QueryClass;
 use crate::polystore::BigDawg;
@@ -57,6 +87,9 @@ fn execute_once(
     mut stmt: Statement,
 ) -> Result<Batch> {
     let mut written: Option<String> = None;
+    // only DDL can change which objects the gather engine holds; SELECT
+    // and DML rescan nothing
+    let mut ddl = false;
     match &mut stmt {
         Statement::Select(sel) => {
             let from = sel.from.iter_mut().map(|from| &mut from.table);
@@ -91,7 +124,9 @@ fn execute_once(
             }
             written = Some(table.clone());
         }
-        _ => {}
+        Statement::CreateTable { .. }
+        | Statement::DropTable { .. }
+        | Statement::CreateIndex { .. } => ddl = true,
     }
     // the monitor sees the name the statement runs against (a remote FROM
     // is recorded under its temporary)
@@ -143,6 +178,11 @@ fn execute_once(
             }
             stale = cat.invalidate(table);
         }
+        if ddl {
+            // catalog what the statement created, on this engine only and
+            // under the lock already held
+            bd.refresh_engine(shim);
+        }
         Ok(out)
     });
     if let (Ok(_), Some(table)) = (&result, &written) {
@@ -150,7 +190,6 @@ fn execute_once(
         // stale copies and reset the table's demand counters
         bd.drop_stale_copies(table, &stale);
     }
-    bd.refresh_catalog();
     result
 }
 

@@ -1,7 +1,7 @@
 //! The text island: keyword/boolean/phrase search over the KV engine.
 
 use crate::monitor::QueryClass;
-use crate::polystore::BigDawg;
+use crate::polystore::{BigDawg, EngineOp};
 use crate::shim::EngineKind;
 use bigdawg_common::{Batch, Result};
 use std::time::Instant;
@@ -13,7 +13,7 @@ pub fn execute(bd: &BigDawg, query: &str) -> Result<Batch> {
     let started = Instant::now();
     // The corpus object is the engine's only object; record against it.
     let mut corpus = None;
-    let result = bd.engine_call(&engine, "native", "island.execute", |shim| {
+    let result = bd.engine_call(&engine, EngineOp::IslandNative, |shim| {
         corpus = shim.object_names().into_iter().next();
         shim.execute_native(query)
     });

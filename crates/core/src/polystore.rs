@@ -14,16 +14,18 @@ use crate::plan;
 use crate::retry::{self, RetryObserver, RetryPolicy};
 use crate::scope;
 use crate::shim::{EngineKind, Shim};
+use crate::shims::latency;
 use bigdawg_common::deadline::{self, CancelCause, CancelToken, Deadline, QueryContext};
-use bigdawg_common::metrics::labeled;
+use bigdawg_common::metrics::{labeled, Histogram};
 use bigdawg_common::{
     Batch, BigDawgError, Clock, MetricsRegistry, MonotonicClock, Result, TraceSink, Tracer,
 };
 use parking_lot::{Mutex, RwLock};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The federation is shared across scatter workers by reference, so it must
 /// stay `Send + Sync`; this fails to compile if a field ever regresses that.
@@ -67,9 +69,9 @@ pub struct BigDawg {
     placements_in_flight: Mutex<std::collections::BTreeSet<String>>,
     /// Untracked (engine, object) copies the catalog deliberately does not
     /// reference — an undroppable migration source, or stale replicas whose
-    /// cleanup was skipped. `refresh_catalog` must never re-register these
-    /// (their contents can't be trusted); instead it reaps them when the
-    /// engine finally allows the drop.
+    /// cleanup was skipped. `refresh_engine` must never re-register these
+    /// (their contents can't be trusted); `reap_orphans` drops them when
+    /// the engine finally allows it.
     orphans: Mutex<std::collections::BTreeSet<(String, String)>>,
     /// The federation's span factory — disabled (free) until a sink is
     /// installed with [`BigDawg::set_trace_sink`].
@@ -103,6 +105,74 @@ struct EngineSlot {
     kind: EngineKind,
     wire: Duration,
     shim: Mutex<Box<dyn Shim>>,
+    /// `bigdawg_engine_lock_wait_microseconds{engine}`: how long callers
+    /// waited to acquire `shim` — contention on this engine, as a number.
+    lock_wait: Arc<Histogram>,
+}
+
+/// What a data-plane call does to its engine — the one argument that
+/// tells [`BigDawg::engine_call`] how to label the call and whether the
+/// request crosses the engine's wire.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum EngineOp {
+    /// `get_table`: a copy read over the wire.
+    Read,
+    /// `put_table`: a landing on the coordinator's side of the wire.
+    Write,
+    /// A degenerate island's `execute_native`, sent over the wire.
+    Native,
+    /// An island's gather sent over the wire as `execute_native` (text).
+    IslandNative,
+    /// An island's gather run on the downcast engine itself (relational,
+    /// array): execution *on* the gather engine, no wire.
+    IslandGather,
+}
+
+impl EngineOp {
+    /// The `op` label of the per-engine op counters.
+    fn label(self) -> &'static str {
+        match self {
+            EngineOp::Read => "read",
+            EngineOp::Write => "write",
+            EngineOp::Native | EngineOp::IslandNative | EngineOp::IslandGather => "native",
+        }
+    }
+
+    /// The span the call runs inside.
+    fn span(self) -> &'static str {
+        match self {
+            EngineOp::Read => "cast.egress",
+            EngineOp::Write => "cast.ingress",
+            EngineOp::Native => "engine.native",
+            EngineOp::IslandNative | EngineOp::IslandGather => "island.execute",
+        }
+    }
+
+    /// Does the request travel the engine's wire (and so pay its hop)?
+    fn crosses_wire(self) -> bool {
+        matches!(
+            self,
+            EngineOp::Read | EngineOp::Native | EngineOp::IslandNative
+        )
+    }
+}
+
+thread_local! {
+    /// Time this thread has spent *acquiring* engine mutexes, ever — a
+    /// leaf reads it before and after to report its own share.
+    static LOCK_WAIT: Cell<Duration> = const { Cell::new(Duration::ZERO) };
+}
+
+/// Total time the calling thread has waited for engine mutexes inside
+/// [`BigDawg::engine_call`]; differences of two readings are meaningful.
+pub(crate) fn lock_wait_on_this_thread() -> Duration {
+    LOCK_WAIT.with(Cell::get)
+}
+
+/// Book `waited` against the calling thread — `engine_call` for its own
+/// acquisitions, the scatter for what its joined workers waited.
+pub(crate) fn add_lock_wait(waited: Duration) {
+    LOCK_WAIT.with(|total| total.set(total.get() + waited));
 }
 
 /// Panic-safe release of a [`BigDawg::begin_placement`] mark: placements
@@ -237,8 +307,16 @@ impl BigDawg {
                 cat.register(&obj, &name, default_kind(kind));
             }
         }
-        let shim = Mutex::new(shim);
-        self.engines.insert(name, EngineSlot { kind, wire, shim });
+        let slot = EngineSlot {
+            kind,
+            wire,
+            shim: Mutex::new(shim),
+            lock_wait: self.metrics.histogram(&labeled(
+                "bigdawg_engine_lock_wait_microseconds",
+                &[("engine", &name)],
+            )),
+        };
+        self.engines.insert(name, slot);
     }
 
     /// The named engine's shim, behind its per-engine mutex — for tests
@@ -296,7 +374,13 @@ impl BigDawg {
     /// anyway: the federation never refuses to plan, and the attempt
     /// doubles as the probe that lets a recovered engine's breaker close.
     pub fn choose_engine_of_kind(&self, kind: EngineKind, class: QueryClass) -> Result<String> {
-        let candidates = self.engines_of_kind(kind);
+        let mut candidates = self.engines_of_kind(kind);
+        if candidates.len() == 1 {
+            // the only engine of its kind is the pick whatever the monitor
+            // and its breaker say (the all-breakers-open rule above), so
+            // the monitor lock is not worth taking
+            return Ok(candidates.remove(0));
+        }
         self.monitor
             .lock()
             .cheapest_healthy_engine(&candidates, class)
@@ -342,25 +426,67 @@ impl BigDawg {
     }
 
     /// Re-scan all shims and register any objects the catalog is missing
-    /// (native queries may create objects behind the catalog's back).
-    ///
-    /// Registration happens *while holding each engine's lock*: a
-    /// concurrent `drop_object` either already removed the copy (the scan
-    /// doesn't see it, and the entry is still cataloged until the deletion
-    /// unregisters it) or is blocked on the engine lock until this
-    /// registration lands, after which its unregister removes the entry —
-    /// so a half-deleted object can never be resurrected as a ghost.
-    /// Orphaned copies (see `orphans`) are reaped here, never re-registered.
+    /// (native queries may create objects behind the catalog's back), after
+    /// reaping whatever orphans their engines now let go. The full scan —
+    /// for set-up code and tests. A statement running through an island
+    /// rescans only the engine it ran on ([`BigDawg::refresh_engine`]).
     pub fn refresh_catalog(&self) {
-        // reap orphans first: untracked copies (undroppable migration
-        // sources, skipped stale replicas) whose engines now allow the
-        // drop disappear before the scan can see them. Each reap holds the
-        // object's in-flight placement mark so it cannot race a placement
-        // that is about to legitimize a fresh copy under the same name.
-        let orphaned: Vec<(String, String)> = self.orphans.lock().iter().cloned().collect();
+        // reap first: untracked copies whose engines now allow the drop
+        // disappear before the scan can see them
+        self.reap_orphans();
+        for slot in self.engines.values() {
+            self.refresh_engine(slot.shim.lock().as_ref());
+        }
+    }
+
+    /// Register the objects `shim`'s engine holds that the catalog is
+    /// missing. The caller holds the engine's lock — `shim` is the
+    /// proof — so registration happens under it: a concurrent
+    /// `drop_object` either already removed the copy (the scan doesn't see
+    /// it, and the entry is still cataloged until the deletion unregisters
+    /// it) or is blocked on the engine lock until this registration lands,
+    /// after which its unregister removes the entry — a half-deleted
+    /// object can never be resurrected as a ghost. Orphaned copies (see
+    /// `orphans`) are never re-registered: their contents predate a move
+    /// or a write. The common case — nothing new — takes the catalog's
+    /// *read* lock only.
+    pub(crate) fn refresh_engine(&self, shim: &dyn Shim) {
+        let mut missing = shim.object_names();
+        {
+            let cat = self.catalog.read();
+            missing.retain(|obj| !cat.contains(obj));
+        }
+        if missing.is_empty() {
+            return;
+        }
+        let (name, kind) = (shim.engine_name(), default_kind(shim.kind()));
+        let orphans = self.orphans.lock();
+        let mut cat = self.catalog.write();
+        for obj in missing {
+            if !cat.contains(&obj) && !orphans.contains(&(name.to_string(), obj.clone())) {
+                cat.register(&obj, name, kind);
+            }
+        }
+    }
+
+    /// Drop the orphaned copies (undroppable migration sources, skipped
+    /// stale replicas) whose engines now allow it. Called where orphans
+    /// are made — a placement, a write's cleanup — and by the full
+    /// [`BigDawg::refresh_catalog`]; free when there are none. Each reap
+    /// holds the object's in-flight placement mark so it cannot race a
+    /// placement that is about to legitimize a fresh copy under the same
+    /// name.
+    fn reap_orphans(&self) {
+        let orphaned: Vec<(String, String)> = {
+            let orphans = self.orphans.lock();
+            if orphans.is_empty() {
+                return;
+            }
+            orphans.iter().cloned().collect()
+        };
         for (engine, object) in &orphaned {
             let Ok(_in_flight) = self.begin_placement(object) else {
-                continue; // a placement is running; reap on a later refresh
+                continue; // a placement is running; reap on a later pass
             };
             if self.catalog.read().located_on(object, engine) {
                 // a placement re-legitimized this copy; it is tracked again
@@ -370,20 +496,6 @@ impl BigDawg {
             match self.engine(engine).map(|e| e.lock().drop_object(object)) {
                 Ok(Err(e)) if !matches!(e, BigDawgError::NotFound(_)) => {} // still refusing
                 _ => self.clear_orphan(engine, object),
-            }
-        }
-        for (name, slot) in &self.engines {
-            let shim = slot.shim.lock();
-            let kind = default_kind(slot.kind);
-            let names = shim.object_names();
-            let orphans = self.orphans.lock();
-            let mut cat = self.catalog.write();
-            for obj in names {
-                // orphaned copies must never be resurrected — their
-                // contents predate a move or a write
-                if !cat.contains(&obj) && !orphans.contains(&(name.clone(), obj.clone())) {
-                    cat.register(&obj, name, kind);
-                }
             }
         }
     }
@@ -497,24 +609,43 @@ impl BigDawg {
     /// or an island's gather on the downcast engine) with all its
     /// bookkeeping in one place — with [`BigDawg::read_object`] on top of
     /// it, the only way the data plane reaches an engine. The call runs
-    /// under the engine's lock inside a `span` labelled with the engine,
-    /// is counted into the per-engine op counters, and feeds the engine's
-    /// circuit breaker — success closes it, a transient failure counts
-    /// against it (and into the failure counter, mirroring the breaker
-    /// 1:1), any other error (a `not_found` placement race, a rejected
-    /// statement) is counted but says nothing about the engine's health.
+    /// under the engine's lock inside `op`'s span labelled with the
+    /// engine, is counted into the per-engine op counters, and feeds the
+    /// engine's circuit breaker — success closes it, a transient failure
+    /// counts against it (and into the failure counter, mirroring the
+    /// breaker 1:1), any other error (a `not_found` placement race, a
+    /// rejected statement, a cancelled hop) is counted but says nothing
+    /// about the engine's health.
+    ///
+    /// The engine's mutex covers the engine's own execution and nothing
+    /// else: a request that crosses the wire pays its hop *before* the
+    /// lock is taken ([`latency::prepay`]), so one client's network wait
+    /// never serialises another's. Time spent acquiring the lock is
+    /// recorded per engine (`bigdawg_engine_lock_wait_microseconds`).
     pub(crate) fn engine_call<T>(
         &self,
         engine: &str,
-        op: &str,
-        span: &'static str,
+        op: EngineOp,
         call: impl FnOnce(&mut dyn Shim) -> Result<T>,
     ) -> Result<T> {
+        let slot = self.engine_entry(engine)?;
         let result = {
-            let _span = self.tracer.span(span, engine);
-            call(self.engine(engine)?.lock().as_mut())
+            let _span = self.tracer.span(op.span(), engine);
+            let hop = if op.crosses_wire() {
+                slot.wire
+            } else {
+                Duration::ZERO
+            };
+            latency::prepay(hop).and_then(|_credit| {
+                let asked = Instant::now();
+                let mut shim = slot.shim.lock();
+                let waited = asked.elapsed();
+                add_lock_wait(waited);
+                slot.lock_wait.record(waited);
+                call(shim.as_mut())
+            })
         };
-        let labels = [("engine", engine), ("op", op)];
+        let labels = [("engine", engine), ("op", op.label())];
         self.metrics
             .counter(&labeled("bigdawg_engine_ops_total", &labels))
             .inc();
@@ -534,7 +665,7 @@ impl BigDawg {
     /// Ship `batch` and land it on `to_engine` as `name` — the one write
     /// path CAST, sub-query materialization and placement copies share.
     /// `wire` is the source side's payload leg (the request round-trip was
-    /// paid inside `get_table`); the binary transport pipelines it
+    /// paid by the read's `engine_call`); the binary transport pipelines it
     /// chunk-by-chunk, the file transport pays it flat. Zero-copy cannot
     /// reach a target behind a wire, whatever the source side looks like
     /// (the in-flight degrade in `ship_with_wire` only sees the source's
@@ -553,7 +684,7 @@ impl BigDawg {
             transport
         };
         let (shipped, report) = ship_with_wire_traced(batch, transport, wire, &self.tracer)?;
-        self.engine_call(to_engine, "write", "cast.ingress", |shim| {
+        self.engine_call(to_engine, EngineOp::Write, |shim| {
             shim.put_table(name, shipped)
         })?;
         Ok(report)
@@ -741,9 +872,8 @@ impl BigDawg {
     /// Read `object` from one specific engine; a success also feeds the
     /// read-latency board that drives hedging thresholds.
     fn read_one_copy(&self, object: &str, source: &str) -> Result<Batch> {
-        let started = std::time::Instant::now();
-        let read =
-            self.engine_call(source, "read", "cast.egress", |shim| shim.get_table(object))?;
+        let started = Instant::now();
+        let read = self.engine_call(source, EngineOp::Read, |shim| shim.get_table(object))?;
         self.latency_board
             .record_read(source, READ_CLASS, started.elapsed());
         Ok(read)
@@ -1006,6 +1136,9 @@ impl BigDawg {
         transport: Transport,
         how: Placement,
     ) -> Result<CastReport> {
+        // before taking the object's mark: a reap of this object's own
+        // orphan needs it
+        self.reap_orphans();
         let _in_flight = self.begin_placement(object)?;
         let (verb, noun, aborted, label) = how.words();
         let entry = self.placement(object)?;
@@ -1110,8 +1243,8 @@ impl BigDawg {
         // write racing the commit window may have landed on (and been
         // refused from) exactly that copy, so its contents can no longer
         // be trusted to match the new primary. The orphan is recorded so
-        // `refresh_catalog` never resurrects it and reaps it once the
-        // engine allows the drop.
+        // a rescan never resurrects it and `reap_orphans` drops it once
+        // the engine allows.
         if how == Placement::Move {
             self.drop_or_orphan(&entry.engine, object);
         }
@@ -1150,6 +1283,7 @@ impl BigDawg {
     /// behind as unreferenced orphans instead (the catalog no longer routes
     /// to them, and any future placement overwrites them).
     pub(crate) fn drop_stale_copies(&self, object: &str, stale: &[String]) {
+        self.reap_orphans();
         if !stale.is_empty() {
             if self.placements_in_flight.lock().insert(object.to_string()) {
                 let _guard = PlacementGuard {
@@ -1169,8 +1303,8 @@ impl BigDawg {
             } else {
                 // a placement is mid-flight: leave the stale copies behind
                 // as orphans — never routed to, never resurrected, reaped
-                // by the next refresh (a placement landing fresh data on
-                // one of these engines clears its mark)
+                // by the next write or placement (a placement landing fresh
+                // data on one of these engines clears its mark)
                 for engine in stale {
                     self.note_orphan(engine, object);
                 }
@@ -1738,7 +1872,8 @@ mod tests {
             bd.metrics()
                 .counter_value(&labeled(family, &[("engine", "postgres"), ("op", op)]))
         };
-        for op in ["read", "write", "native"] {
+        for op in [EngineOp::Read, EngineOp::Write, EngineOp::Native] {
+            let op_label = op.label();
             // (outcome, failure-counter delta, breaker streak afterwards)
             for (outcome, failed, streak) in [
                 ("ok", 0, 0),
@@ -1750,35 +1885,35 @@ mod tests {
                 // breaker alone reads differently from one that closes it
                 bd.breakers().record_success("postgres");
                 bd.breakers().record_failure("postgres");
-                let ops = value("bigdawg_engine_ops_total", op);
-                let failures = value("bigdawg_engine_op_failures_total", op);
-                let result = bd.engine_call("postgres", op, "test.call", |_| match outcome {
+                let ops = value("bigdawg_engine_ops_total", op_label);
+                let failures = value("bigdawg_engine_op_failures_total", op_label);
+                let result = bd.engine_call("postgres", op, |_| match outcome {
                     "ok" => Ok(()),
                     "transient" => Err(BigDawgError::Execution("flaky".into())),
                     "not_found" => Err(BigDawgError::NotFound("gone".into())),
                     _ => Err(BigDawgError::Unsupported("no".into())),
                 });
-                assert_eq!(result.is_ok(), outcome == "ok", "{op}/{outcome}");
+                assert_eq!(result.is_ok(), outcome == "ok", "{op:?}/{outcome}");
                 assert_eq!(
-                    value("bigdawg_engine_ops_total", op) - ops,
+                    value("bigdawg_engine_ops_total", op_label) - ops,
                     1,
-                    "{op}/{outcome}"
+                    "{op:?}/{outcome}"
                 );
                 assert_eq!(
-                    value("bigdawg_engine_op_failures_total", op) - failures,
+                    value("bigdawg_engine_op_failures_total", op_label) - failures,
                     failed,
-                    "{op}/{outcome}"
+                    "{op:?}/{outcome}"
                 );
                 assert_eq!(
                     bd.engine_health("postgres").consecutive_failures,
                     streak,
-                    "{op}/{outcome}"
+                    "{op:?}/{outcome}"
                 );
             }
         }
         // an unknown engine fails before anything is counted
         assert!(bd
-            .engine_call("nowhere", "read", "test.call", |_| Ok(()))
+            .engine_call("nowhere", EngineOp::Read, |_| Ok(()))
             .is_err());
         assert_eq!(
             bd.metrics()

@@ -101,6 +101,13 @@ pub trait Shim: Send {
     /// uses it to pipeline chunk transfers over the wire. The federation
     /// samples it once, at `add_engine`, and plans from that copy without
     /// taking the engine lock — it must be constant for the shim's life.
+    ///
+    /// It is also the *request hop* the federation pays on the shim's
+    /// behalf: a call that crosses the wire (`get_table`, a native
+    /// statement) sleeps this long before the engine's lock is taken and
+    /// credits the decorators behind the lock, which then sleep nothing.
+    /// Only a caller that holds the raw shim — a test, the benchmark's
+    /// replay — makes the decorator pay its own delay.
     fn wire_latency(&self) -> Duration {
         Duration::ZERO
     }

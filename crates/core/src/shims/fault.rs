@@ -34,6 +34,12 @@
 //!
 //! Metadata calls (`engine_name`, `kind`, `capabilities`, `object_names`)
 //! never fail and are not counted.
+//!
+//! Behind a wire ([`super::latency::LatencyShim`], in either stacking
+//! order) a refused request costs its round-trip first, as over a real
+//! wire: the federation pays the request hop before it takes the engine's
+//! lock, so the refusal is only met after it. Counters are unaffected —
+//! every injection still reconciles 1:1 with a failed engine op.
 
 use crate::shim::{Capability, EngineKind, Shim};
 use bigdawg_common::{Batch, BigDawgError, Result};

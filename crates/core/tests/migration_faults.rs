@@ -404,3 +404,66 @@ fn auto_migration_rides_through_a_seeded_fault_storm() {
     let migrator = Migrator::new(MigrationPolicy::with_min_ships(2));
     let _ = migrator.plan(&bd); // planning on a post-storm catalog is safe
 }
+
+/// `t` lives on `pg_a`, whose second fallible operation — the source drop
+/// of the move below — is refused: after the move `pg_b` is the primary
+/// and `pg_a` holds an orphaned copy the catalog does not reference.
+fn federation_with_an_orphan_on_pg_a() -> BigDawg {
+    let mut bd = BigDawg::new();
+    let mut pg_a = RelationalShim::new("pg_a");
+    pg_a.db_mut().execute("CREATE TABLE t (x INT)").unwrap();
+    pg_a.db_mut()
+        .execute("INSERT INTO t VALUES (1), (2)")
+        .unwrap();
+    bd.add_engine(Box::new(FaultShim::new(Box::new(pg_a), FaultPlan::nth(2))));
+    bd.add_engine(Box::new(RelationalShim::new("pg_b")));
+    bd.add_engine(Box::new(RelationalShim::new("pg_c")));
+    bd.migrate_object("t", "pg_b", Transport::Binary).unwrap();
+    assert_eq!(bd.locate("t").unwrap(), "pg_b");
+    assert!(holds(&bd, "pg_a", "t"), "the refused drop left a copy");
+    bd
+}
+
+fn holds(bd: &BigDawg, engine: &str, object: &str) -> bool {
+    let names = bd.engine(engine).unwrap().lock().object_names();
+    names.iter().any(|n| n == object)
+}
+
+/// Orphans are reaped where orphans are made: the next placement of, or
+/// write to, any object drops the copies whose engines now allow it — as
+/// does the full `refresh_catalog()` — without a per-statement rescan.
+#[test]
+fn an_orphan_is_reaped_by_the_next_placement_write_or_refresh() {
+    for reaper in ["place", "write", "refresh"] {
+        let bd = federation_with_an_orphan_on_pg_a();
+        // a read rescans nothing and reaps nothing
+        bd.execute("RELATIONAL(SELECT COUNT(*) AS n FROM t)")
+            .unwrap();
+        assert!(holds(&bd, "pg_a", "t"), "{reaper}");
+        match reaper {
+            "place" => drop(bd.replicate_object("t", "pg_c", Transport::Binary).unwrap()),
+            "write" => drop(bd.execute("RELATIONAL(UPDATE t SET x = x + 1)").unwrap()),
+            _ => bd.refresh_catalog(),
+        }
+        assert!(!holds(&bd, "pg_a", "t"), "{reaper}: the orphan is gone");
+        assert_eq!(bd.locate("t").unwrap(), "pg_b", "{reaper}");
+        assert!(!bd.located_on("t", "pg_a"), "{reaper}");
+    }
+}
+
+/// An orphan's contents predate a move, so the per-engine rescan a native
+/// statement triggers must not catalog it — not even once its name is
+/// free again.
+#[test]
+fn refresh_engine_never_registers_an_orphan() {
+    let bd = federation_with_an_orphan_on_pg_a();
+    bd.drop_object("t").unwrap();
+    assert!(bd.locate("t").is_err());
+    // runs on pg_a — against the orphan, natively — and rescans pg_a
+    let b = bd.execute("PG_A(SELECT COUNT(*) AS n FROM t)").unwrap();
+    assert_eq!(b.rows()[0][0], Value::Int(2));
+    assert!(bd.locate("t").is_err(), "the rescan resurrected an orphan");
+    bd.refresh_catalog();
+    assert!(!holds(&bd, "pg_a", "t"), "the full refresh reaps it");
+    assert!(bd.locate("t").is_err());
+}
